@@ -8,8 +8,8 @@ Subcommands:
 * stabilize -- check the strand-addition embedding chain 0 -> 1 -> ... -> n
 
 Exit codes: 0 success, 1 I/O or parse problems (also bad usage), 2 tree not
-linear from the marked endpoint, 3 verification or embedding failure, 4
-resource cap refusal.
+linear from the marked endpoint, 3 verification, embedding or internal
+consistency failure, 4 resource cap refusal.
 """
 from __future__ import annotations
 
@@ -90,10 +90,14 @@ def cmd_present(args) -> int:
 
 
 def _oracle_report(tree, n, d_max, subdivision, cell_cap):
-    parts = subdivision if subdivision is not None else n + 1
-    if parts < n + 1:
+    """Homology of the n-strand cube complex of tree, every edge cut into
+    max(1, n - 1) pieces unless subdivision asks for more (Prue-Scrimshaw).
+    """
+    floor = max(1, n - 1)
+    parts = subdivision if subdivision is not None else floor
+    if parts < floor:
         raise ValueError(
-            f"subdivision {parts} is too coarse for n={n}; need at least {n + 1}"
+            f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
         )
     fine = trees.subdivide_edges(tree, parts)
     cx = cubes.build_complex(fine, n, d_max=d_max, cell_cap=cell_cap)
@@ -102,7 +106,10 @@ def _oracle_report(tree, n, d_max, subdivision, cell_cap):
 
 
 def cmd_verify(args) -> int:
-    decomp = _load_decomposition(args.tree)
+    # the oracle gets the input tree: decompose's glue vertices would cut
+    # every hub-hub edge twice as fine as needed
+    tree = trees.load_tree(args.tree)
+    decomp = trees.decompose(tree)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -116,7 +123,7 @@ def cmd_verify(args) -> int:
             betti = (1, 0, 0)[: args.dmax]
             torsion = [[] for _ in range(args.dmax)]
         else:
-            report = _oracle_report(decomp.tree, n, args.dmax, args.subdivision, args.cell_cap)
+            report = _oracle_report(tree, n, args.dmax, args.subdivision, args.cell_cap)
             betti = report.betti
             torsion = [list(t) for t in report.torsion]
         ok = betti[0] == 1 and betti[1] == expect[0] and not any(torsion)
@@ -185,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_oracle_flags(sp):
         sp.add_argument("--dmax", type=int, choices=(2, 3), default=3)
         sp.add_argument("--subdivision", type=int, default=None,
-                        help="pieces per edge (default n+1; must be >= n+1)")
+                        help="pieces per edge (default and minimum max(1, n-1),"
+                             " enough on a tree by Prue-Scrimshaw)")
         sp.add_argument("--cell-cap", type=int, default=cubes.DEFAULT_CELL_CAP)
 
     p = sub.add_parser("present", help="write commutator presentations")
@@ -228,15 +236,20 @@ def main(argv=None) -> int:
     except trees.NotLinearError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_LINEAR
+    except (
+        stars.RankMismatchError,
+        presentation.SameStarError,        # a ValueError, so caught before those
+        cubes.BoundarySquareError,
+        presentation.NaturalityError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (trees.TreeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except cubes.ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
-    except presentation.NaturalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

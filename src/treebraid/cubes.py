@@ -2,11 +2,15 @@
 
 The n-strand discrete model of a graph: a d-cell is a choice of d edges
 and n - d vertices whose closures are pairwise disjoint (no shared or
-adjacent endpoints).  Faces replace an edge by one of its endpoints.  On a
-tree whose every edge has been cut into at least n + 1 pieces this complex
-carries the same homology as the space of n unordered points, which is
-what lets it serve as an independent check on the assembled presentations:
-b_1 must count generators and b_2 must count commuting pairs.
+adjacent endpoints).  Faces replace an edge by one of its endpoints.  By
+Prue and Scrimshaw (Abrams's stable equivalence for graph braid groups,
+2014), a graph whose paths between vertices of degree != 2 all have at
+least n - 1 edges, and whose cycles have at least n + 1, gives a complex
+homotopy equivalent to the space of n unordered points.  A tree has no
+cycles, so cutting every edge into max(1, n - 1) pieces is enough.  That
+is what lets the complex serve as an independent check on the assembled
+presentations: b_1 must count generators and b_2 must count commuting
+pairs.
 
 Vertex ids are interned to integers (rank in sorted id order), so cells
 are plain int tuples and the lexicographic cell order is reproducible.
@@ -28,16 +32,20 @@ Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]   # (edges, vertices)
 
 
 class ResourceCapError(RuntimeError):
-    """Estimated cell count exceeds the configured cap."""
+    """The largest cell layer would exceed the configured cap."""
 
-    def __init__(self, message: str, estimate: int, cap: int):
+    def __init__(self, message: str, cells: int, cap: int):
         super().__init__(message)
-        self.estimate = estimate
+        self.cells = cells
         self.cap = cap
 
 
 class DisconnectedComplexError(RuntimeError):
     """The 1-skeleton is not connected."""
+
+
+class BoundarySquareError(AssertionError):
+    """Some boundary of a boundary is not exactly zero."""
 
 
 @dataclass(frozen=True)
@@ -104,15 +112,70 @@ def _disjoint_edge_tuples(edges, masks, size: int):
     yield from extend(0, (), 0, 0)
 
 
+def matching_counts(tree: Tree, top: int) -> list[int]:
+    """[m_0, .., m_top]: the number of d-edge matchings of tree.
+
+    One pass from the leaves up keeps, per vertex, the matching polynomials
+    of its subtree truncated at degree top: with the vertex left unmatched,
+    and in total.
+    """
+
+    def mul(a, b):
+        out = [0] * (top + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j in range(top + 1 - i):
+                    out[i + j] += x * b[j]
+        return out
+
+    unit = [1] + [0] * top
+    root = tree.vertices[0]
+    parent = {root: None}
+    order = [root]
+    for v in order:                # breadth-first; order grows as it is read
+        for w in tree.neighbors(v):
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    unmatched: dict[str, list[int]] = {}
+    total: dict[str, list[int]] = {}
+    for v in reversed(order):
+        free, matched = unit, [0] * (top + 1)
+        for c in tree.neighbors(v):
+            if c == parent[v]:
+                continue
+            via_edge = [0] + unmatched[c][:top]      # the edge v-c is used
+            matched = [a + b for a, b in zip(mul(matched, total[c]), mul(free, via_edge))]
+            free = mul(free, total[c])
+        unmatched[v] = free
+        total[v] = [a + b for a, b in zip(free, matched)]
+    return total[root]
+
+
+def layer_sizes(tree: Tree, n: int, d_max: int) -> list[int]:
+    """Exact cell count of each dimension 0..d_max for n strands on tree.
+
+    A d-cell is a d-edge matching plus n - d of the V - 2d vertices it
+    leaves uncovered, so there are m_d * C(V - 2d, n - d) of them.
+    """
+    m = matching_counts(tree, d_max)
+    nv = len(tree.vertices)
+    return [
+        m[d] * comb(nv - 2 * d, n - d) if d <= n and m[d] else 0
+        for d in range(d_max + 1)
+    ]
+
+
 def build_complex(
     tree: Tree, n: int, d_max: int = 3, cell_cap: int = DEFAULT_CELL_CAP
 ) -> CubeComplex:
     """Enumerate all cells of dimension <= d_max for n strands on tree.
 
     The tree must already be subdivided finely enough for n (every edge in
-    at least n + 1 pieces); this is the caller's contract, enforced at the
-    command-line layer.  Refuses to start if the estimated 0- or 1-cell
-    count exceeds cell_cap.
+    at least max(1, n - 1) pieces, after Prue and Scrimshaw); this is the
+    caller's contract, enforced at the command-line layer.  Refuses to
+    start if any layer would hold more than cell_cap cells; the layer
+    sizes are counted exactly beforehand by ``layer_sizes``.
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
@@ -122,12 +185,11 @@ def build_complex(
     nv = len(ids)
     if n > nv:
         raise ValueError(f"cannot place {n} strands on {nv} vertices")
-    zero_est = comb(nv, n)
-    one_est = len(tree.edges) * comb(max(nv - 2, 0), max(n - 1, 0)) if n >= 1 else 0
-    worst = max(zero_est, one_est)
+    worst = max(layer_sizes(tree, n, d_max))
     if worst > cell_cap:
         raise ResourceCapError(
-            f"estimated {worst} cells exceeds cap {cell_cap}", estimate=worst, cap=cell_cap
+            f"largest cell layer has {worst} cells, above the cap {cell_cap}",
+            cells=worst, cap=cell_cap,
         )
 
     pos = {v: i for i, v in enumerate(ids)}
@@ -166,14 +228,19 @@ def cell_faces(cell: Cell) -> list[tuple[Cell, int]]:
     return out
 
 
-def boundary_matrix(cx: CubeComplex, d: int) -> BoundaryMatrix:
+def boundary_matrix(cx: CubeComplex, d: int, skip=frozenset()) -> BoundaryMatrix:
+    """Boundary of the d-cells, in cell order, leaving out the column of
+    every d-cell whose index is in skip.  Rows keep the (d-1)-cell indices.
+    """
     if not 1 <= d <= cx.d_max:
         raise ValueError(f"dimension must be 1..{cx.d_max}, got {d}")
     index = {cell: i for i, cell in enumerate(cx.cells[d - 1])}
-    columns = []
-    for cell in cx.cells[d]:
-        columns.append(tuple((index[face], sign) for face, sign in cell_faces(cell)))
-    return BoundaryMatrix(dimension=d, nrows=len(cx.cells[d - 1]), columns=tuple(columns))
+    columns = tuple(
+        tuple((index[face], sign) for face, sign in cell_faces(cell))
+        for j, cell in enumerate(cx.cells[d])
+        if j not in skip
+    )
+    return BoundaryMatrix(dimension=d, nrows=len(cx.cells[d - 1]), columns=columns)
 
 
 def check_boundary_squares_to_zero(cx: CubeComplex) -> None:
@@ -188,7 +255,7 @@ def check_boundary_squares_to_zero(cx: CubeComplex) -> None:
                     acc[sub] = acc.get(sub, 0) + sign * sub_sign
             bad = {k: v for k, v in acc.items() if v}
             if bad:
-                raise AssertionError(f"boundary^2 != 0 on {cell}: {bad}")
+                raise BoundarySquareError(f"boundary^2 != 0 on {cell}: {bad}")
 
 
 def betti(cx: CubeComplex, with_torsion: bool = True) -> HomologyReport:
@@ -197,34 +264,38 @@ def betti(cx: CubeComplex, with_torsion: bool = True) -> HomologyReport:
     b_d = #cells_d - rank(boundary_d) - rank(boundary_{d+1}); ranks are
     over the rationals but computed by integer elimination, so the same
     pass yields the invariant factors when with_torsion is set.
+
+    The boundaries are reduced from the top down with clearing (Chen and
+    Kerber, Persistent homology computation with a twist, 2011): a d-cell
+    that was a unit pivot row of boundary_{d+1} has its column left out of
+    boundary_d.  The pivot minor A of boundary_{d+1} is unimodular, and
+    boundary_d * boundary_{d+1} = 0 makes the cleared columns equal to
+    -(remaining columns) * boundary_{d+1}[rest, pivots] * A^-1, an integer
+    combination of the columns kept; rank and invariant factors survive.
     """
-    ranks = []
-    torsion: list[tuple[int, ...]] = []
-    for d in range(1, cx.d_max + 1):
+    ranks = [0] * cx.d_max
+    torsion: list[tuple[int, ...]] = [()] * cx.d_max
+    cleared: set[int] = set()
+    for d in range(cx.d_max, 0, -1):
         if not cx.cells[d]:
-            ranks.append(0)
-            torsion.append(())
             continue
-        sparse = boundary_matrix(cx, d).to_sparse()
+        sparse = boundary_matrix(cx, d, skip=cleared).to_sparse()
         r, factors = rank_and_factors(sparse)
-        ranks.append(r)
+        ranks[d - 1] = r
         if with_torsion:
-            torsion.append(tuple(factors))
-        else:
-            torsion.append(())
+            torsion[d - 1] = tuple(factors)
+        cleared = set(sparse.pivot_rows)
     counts = cx.cell_counts()
-    bettis = []
-    for d in range(cx.d_max):
-        above = ranks[d] if d < len(ranks) else 0   # rank of boundary_{d+1}
-        below = ranks[d - 1] if d >= 1 else 0
-        bettis.append(counts[d] - below - above)
-    # torsion of H_d comes from boundary_{d+1}: reindex
-    tor = tuple(torsion[d] for d in range(cx.d_max))
+    # ranks[d] is the rank of boundary_{d+1}, and torsion[d], the torsion of
+    # boundary_{d+1}, is that of H_d
+    bettis = tuple(
+        counts[d] - (ranks[d - 1] if d else 0) - ranks[d] for d in range(cx.d_max)
+    )
     return HomologyReport(
         cell_counts=tuple(counts),
         boundary_ranks=tuple(ranks),
-        betti=tuple(bettis),
-        torsion=tor,
+        betti=bettis,
+        torsion=tuple(torsion),
     )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treebraid import cli, cubes
+from treebraid import cli, cubes, presentation, stars
 
 HTREE = {
     "vertices": ["p", "a", "u", "v", "b", "c"],
@@ -135,16 +135,39 @@ class TestVerify:
 
     def test_subdivision_too_coarse_exits_1(self, tree_file, capsys):
         code = cli.main([
-            "verify", "--tree", tree_file(TRIPOD), "--n", "3", "--subdivision", "2",
+            "verify", "--tree", tree_file(TRIPOD), "--n", "3", "--subdivision", "1",
         ])
         assert code == 1
         assert "too coarse" in capsys.readouterr().err
+
+    def test_subdivision_at_the_n_minus_1_floor_passes(self, tree_file, capsys):
+        code = cli.main([
+            "verify", "--tree", tree_file(TRIPOD), "--n", "3", "--subdivision", "2",
+        ])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_oracle_subdivides_the_input_tree(self, tree_file, capsys, monkeypatch):
+        # the glue-normalized H-tree has 7 vertices and 6 edges; at n=3 its
+        # subdivision would have 13 vertices, the input tree's has 6 + 5
+        seen = []
+        real = cubes.build_complex
+
+        def recording(tree, n, **kwargs):
+            seen.append(len(tree.vertices))
+            return real(tree, n, **kwargs)
+
+        monkeypatch.setattr(cubes, "build_complex", recording)
+        assert cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"]) == 0
+        assert seen == [11]
 
     def test_cell_cap_exits_4(self, tree_file, capsys):
         code = cli.main([
             "verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", "100",
         ])
         assert code == 4
+        # the largest layer at 3 pieces per edge is the 2-cells
+        assert "5874" in capsys.readouterr().err
 
     def test_mismatch_exits_3(self, tree_file, capsys, monkeypatch):
         real = cubes.betti
@@ -197,6 +220,7 @@ class TestTable:
         assert row.split()[1:] == ["0"] * 7
 
 
+
 class TestStabilize:
     def test_htree_chain(self, tree_file, capsys):
         assert cli.main(["stabilize", "--tree", tree_file(HTREE), "--n", "5"]) == 0
@@ -215,3 +239,34 @@ class TestStabilize:
         monkeypatch.setattr(pres_mod, "add_strand", sabotaged)
         code = cli.main(["stabilize", "--tree", tree_file(HTREE), "--n", "3"])
         assert code == 3
+
+
+class TestInternalErrors:
+    """Internal consistency failures exit 3 with a message, never a traceback."""
+
+    def test_same_star_exits_3_not_1(self, tree_file, capsys, monkeypatch):
+        # SameStarError is a ValueError; it must not read as an input error
+        def same_star_pair(decomp, n):
+            g = presentation.Generator(1, stars.StarEdge((0, 1, 1), 2))
+            presentation.commutation_predicate(g, g, n)
+
+        monkeypatch.setattr(presentation, "assemble", same_star_pair)
+        code = cli.main(["present", "--tree", tree_file(HTREE), "--n", "2"])
+        assert code == 3
+        assert "error: generators are both on star 1" in capsys.readouterr().err
+
+    def test_rank_mismatch_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(stars, "rank_from_euler", lambda k, n: -1)
+        assert cli.main(["table", "--k-min", "3", "--k-max", "3"]) == 3
+        assert "error: rank disagreement" in capsys.readouterr().err
+
+    def test_boundary_square_failure_exits_3(self, tree_file, capsys, monkeypatch):
+        real = cubes.cell_faces
+
+        def unsigned_faces(cell):
+            return [(face, 1) for face, _ in real(cell)]
+
+        monkeypatch.setattr(cubes, "cell_faces", unsigned_faces)
+        code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"])
+        assert code == 3
+        assert "error: boundary^2 != 0" in capsys.readouterr().err

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from treebraid import presentation, trees
+from treebraid import cubes, presentation, trees
 from treebraid.cubes import (
     CubeComplex,
     DisconnectedComplexError,
@@ -13,9 +13,11 @@ from treebraid.cubes import (
     cell_faces,
     check_boundary_squares_to_zero,
     dump_cells,
+    layer_sizes,
     pi1_presentation,
     raag_clique_counts,
 )
+from treebraid.homology import rank_and_factors
 
 from conftest import tree_from_edges
 
@@ -70,6 +72,29 @@ class TestBuild:
         with pytest.raises(ResourceCapError):
             build_complex(fine, 4, cell_cap=1000)
 
+    @pytest.mark.parametrize(
+        "name", ["interval", "tripod", "star4", "htree", "caterpillar3"]
+    )
+    def test_layer_sizes_are_the_cell_counts(self, name, request):
+        tree = request.getfixturevalue(name)
+        for parts in (1, 2, 3):
+            fine = trees.subdivide_edges(tree, parts)
+            for n in range(4):
+                cx = build_complex(fine, n, d_max=3)
+                assert layer_sizes(fine, n, 3) == cx.cell_counts(), (parts, n)
+        path = path_tree(6)
+        for d_max in (1, 2, 3):
+            assert layer_sizes(path, 3, d_max) == build_complex(path, 3, d_max).cell_counts()
+
+    def test_cap_bounds_the_largest_layer(self, htree):
+        # the 2-cells (5874) outnumber the 0- and 1-cells (1820, 5460)
+        fine = trees.subdivide_edges(htree, 3)
+        assert layer_sizes(fine, 4, 3) == [1820, 5460, 5874, 2680]
+        with pytest.raises(ResourceCapError, match="5874") as info:
+            build_complex(fine, 4, cell_cap=5873)
+        assert (info.value.cells, info.value.cap) == (5874, 5873)
+        assert build_complex(fine, 4, cell_cap=5874).cell_counts() == [1820, 5460, 5874, 2680]
+
     def test_too_many_strands(self):
         with pytest.raises(ValueError):
             build_complex(path_tree(1), 3)
@@ -99,6 +124,15 @@ class TestBoundary:
         cx = build_complex(path_tree(3), 2, d_max=2)
         with pytest.raises(ValueError):
             boundary_matrix(cx, 3)
+
+    def test_skip_leaves_out_columns(self):
+        cx = build_complex(path_tree(3), 2, d_max=2)
+        full = boundary_matrix(cx, 1)
+        part = boundary_matrix(cx, 1, skip={0, 2})
+        assert part.nrows == full.nrows
+        assert part.columns == tuple(
+            col for j, col in enumerate(full.columns) if j not in (0, 2)
+        )
 
 
 class TestBetti:
@@ -134,6 +168,36 @@ class TestBetti:
         rep = betti(build_complex(fine, 2, d_max=2), with_torsion=False)
         assert rep.betti == (1, 1)
         assert all(t == () for t in rep.torsion)
+
+
+class TestClearing:
+    @pytest.mark.parametrize("name,n,parts", [
+        ("interval", 3, 2),
+        ("tripod", 3, 2),
+        ("star4", 3, 2),
+        ("htree", 3, 2),
+        ("htree", 4, 3),
+        ("caterpillar3", 3, 2),
+    ])
+    def test_cleared_ranks_equal_full_ranks(self, name, n, parts, request, monkeypatch):
+        tree = request.getfixturevalue(name)
+        cx = build_complex(trees.subdivide_edges(tree, parts), n, d_max=3)
+        skipped = {}
+        real = cubes.boundary_matrix
+
+        def recording(cx, d, skip=frozenset()):
+            skipped[d] = len(skip)
+            return real(cx, d, skip)
+
+        monkeypatch.setattr(cubes, "boundary_matrix", recording)
+        rep = betti(cx)
+        assert skipped.get(3, 0) == 0 and skipped[1] > 0   # clearing did happen
+        for d in range(1, 4):
+            if not cx.cells[d]:
+                continue
+            r, factors = rank_and_factors(real(cx, d).to_sparse())
+            assert rep.boundary_ranks[d - 1] == r, d
+            assert rep.torsion[d - 1] == tuple(factors), d
 
 
 class TestPi1:

@@ -140,6 +140,28 @@ class TestEliminateUnits:
         units, dense = eliminate_units(SparseIntMatrix.from_columns(0, []))
         assert units == 0 and dense == []
 
+    def test_pivot_rows_are_independent_and_count_the_units(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            rows = [[rng.choice([0, 0, 1, -1, 2]) for _ in range(6)] for _ in range(7)]
+            m = sparse_from_dense(rows)
+            units, _ = eliminate_units(m)
+            assert len(m.pivot_rows) == units
+            assert fraction_rank([rows[r] for r in m.pivot_rows]) == units
+
+    def test_emptied_row_is_not_a_pivot(self):
+        # pivoting on either of two equal rows empties the other
+        m = sparse_from_dense([[1, -1, 0], [1, -1, 0]])
+        units, dense = eliminate_units(m)
+        assert (units, dense) == (1, [])
+        assert len(m.pivot_rows) == 1 and m.pivot_rows[0] in (0, 1)
+
+    def test_remainder_pivots_are_not_recorded(self):
+        m = sparse_from_dense([[1, 1, 0], [0, 0, 2]])
+        units, dense = eliminate_units(m)
+        assert (units, dense) == (1, [[2]])
+        assert m.pivot_rows == [0]
+
 
 class TestRankAndFactors:
     @pytest.mark.parametrize("seed", range(20))
