@@ -74,7 +74,7 @@ class BoundaryMatrix:
         return len(self.columns)
 
     def to_sparse(self) -> SparseIntMatrix:
-        return SparseIntMatrix.from_columns(self.nrows, [list(col) for col in self.columns])
+        return SparseIntMatrix.from_columns(self.nrows, self.columns)
 
 
 @dataclass(frozen=True)
@@ -258,12 +258,12 @@ def check_boundary_squares_to_zero(cx: CubeComplex) -> None:
                 raise BoundarySquareError(f"boundary^2 != 0 on {cell}: {bad}")
 
 
-def betti(cx: CubeComplex, with_torsion: bool = True) -> HomologyReport:
+def betti(cx: CubeComplex) -> HomologyReport:
     """Exact Betti numbers b_0..b_{d_max-1} and the torsion of each H_d.
 
     b_d = #cells_d - rank(boundary_d) - rank(boundary_{d+1}); ranks are
     over the rationals but computed by integer elimination, so the same
-    pass yields the invariant factors when with_torsion is set.
+    pass yields the invariant factors.
 
     The boundaries are reduced from the top down with clearing (Chen and
     Kerber, Persistent homology computation with a twist, 2011): a d-cell
@@ -282,8 +282,7 @@ def betti(cx: CubeComplex, with_torsion: bool = True) -> HomologyReport:
         sparse = boundary_matrix(cx, d, skip=cleared).to_sparse()
         r, factors = rank_and_factors(sparse)
         ranks[d - 1] = r
-        if with_torsion:
-            torsion[d - 1] = tuple(factors)
+        torsion[d - 1] = tuple(factors)
         cleared = set(sparse.pivot_rows)
     counts = cx.cell_counts()
     # ranks[d] is the rank of boundary_{d+1}, and torsion[d], the torsion of
@@ -390,29 +389,16 @@ def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
 def raag_clique_counts(pres: Presentation, max_size: int = 3) -> tuple[int, ...]:
     """(vertices, edges, triangles)[:max_size] of the defining graph; these
     are the expected Betti numbers b_1, b_2, b_3 of the group the
-    presentation defines.
+    presentation defines.  With later[i] the neighbours j > i of generator
+    index i, each triangle i < j < l is one l in later[i] & later[j].
     """
     if not 1 <= max_size <= 3:
         raise ValueError(f"max_size must be 1..3, got {max_size}")
-    counts = [len(pres.generators)]
-    if max_size >= 2:
-        counts.append(len(pres.relations))
-    if max_size >= 3:
-        gens = pres.sorted_generators()
-        related = {frozenset(pair) for pair in pres.relations}
-        triangles = 0
-        for i, g in enumerate(gens):
-            for j in range(i + 1, len(gens)):
-                if frozenset((g, gens[j])) not in related:
-                    continue
-                for l in range(j + 1, len(gens)):
-                    if (
-                        frozenset((g, gens[l])) in related
-                        and frozenset((gens[j], gens[l])) in related
-                    ):
-                        triangles += 1
-        counts.append(triangles)
-    return tuple(counts)
+    later: list[set[int]] = [set() for _ in pres.generators]
+    for i, j in pres.relation_index_pairs():
+        later[i].add(j)
+    triangles = sum(len(later[i] & later[j]) for i, js in enumerate(later) for j in js)
+    return (len(pres.generators), len(pres.relations), triangles)[:max_size]
 
 
 def dump_cells(cx: CubeComplex) -> str:

@@ -12,6 +12,7 @@ pivot growth can never overflow.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 
 
@@ -33,7 +34,8 @@ class SparseIntMatrix:
         self.pivot_rows: list[int] = []
 
     @classmethod
-    def from_columns(cls, nrows: int, columns: list[list[tuple[int, int]]]) -> "SparseIntMatrix":
+    def from_columns(cls, nrows: int,
+                     columns: Sequence[Sequence[tuple[int, int]]]) -> "SparseIntMatrix":
         m = cls(nrows, len(columns))
         rows = m.rows
         cols = m.cols

@@ -50,12 +50,15 @@ class Presentation:
         return sorted(self.generators)
 
     def sorted_relations(self) -> list[tuple[Generator, Generator]]:
-        return sorted(tuple(sorted(pair)) for pair in self.relations)
+        gens = self.sorted_generators()
+        return [(gens[i], gens[j]) for i, j in self.relation_index_pairs()]
 
     def relation_index_pairs(self) -> list[tuple[int, int]]:
-        """Relations as index pairs into sorted_generators()."""
+        """Relations as sorted index pairs i < j into sorted_generators();
+        index order is generator order, so sorted_relations() follows it."""
         index = {g: i for i, g in enumerate(self.sorted_generators())}
-        return sorted((index[g], index[h]) for g, h in self.sorted_relations())
+        pairs = ((index[g], index[h]) for g, h in self.relations)
+        return sorted((i, j) if i < j else (j, i) for i, j in pairs)
 
 
 @dataclass(frozen=True)

@@ -209,12 +209,17 @@ def rank_closed_form(k: int, n: int) -> int:
 
 
 def rank_from_euler(k: int, n: int) -> int:
-    """1 - chi of the enumerated complex (a single point when n == 0)."""
+    """1 - chi of the enumerated complex (a single point when n == 0).
+
+    Edges are counted as the occupied arms of the Type II vertices.  No
+    spanning tree is involved, so this agrees with the basis size only if
+    ``is_tree_edge`` keeps exactly one edge per non-base vertex.
+    """
     if n == 0:
         return 0
-    vertices = len(type1_vertices(k, n)) + len(type2_vertices(k, n))
-    edges = len(star_edges(k, n))
-    return 1 - (vertices - edges)
+    type2 = type2_vertices(k, n)
+    edges = sum(1 for v in type2 for x in v.a if x)
+    return 1 - (len(type1_vertices(k, n)) + len(type2) - edges)
 
 def rank(k: int, n: int) -> int:
     """Free rank of the n-strand group of a k-arm star.

@@ -197,10 +197,12 @@ def _parse_json(text: str) -> Tree:
     for key in ("vertices", "edges", "endpoint"):
         if key not in data:
             raise ParseError(f"missing field {key!r}")
+        if key != "endpoint" and not isinstance(data[key], list):
+            raise ParseError(f"{key}: expected a JSON array, got {data[key]!r}")
     vertices = [_coerce_id(v, "vertices") for v in data["vertices"]]
     edges = []
     for i, pair in enumerate(data["edges"]):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"edges[{i}]: expected a pair, got {pair!r}")
         edges.append((_coerce_id(pair[0], f"edges[{i}]"), _coerce_id(pair[1], f"edges[{i}]")))
     endpoint = _coerce_id(data["endpoint"], "endpoint")

@@ -49,6 +49,19 @@ def caterpillar3():
 
 
 @pytest.fixture
+def caterpillar5():
+    # five adjacent hubs with 4, 4, 3, 5 and 3 arms
+    return tree_from_edges(
+        [
+            ("p", "h1"), ("h1", "a1"), ("h1", "a2"), ("h1", "h2"), ("h2", "b1"),
+            ("h2", "b2"), ("h2", "h3"), ("h3", "c1"), ("h3", "h4"), ("h4", "d1"),
+            ("h4", "d2"), ("h4", "d3"), ("h4", "h5"), ("h5", "e1"), ("h5", "e2"),
+        ],
+        "p",
+    )
+
+
+@pytest.fixture
 def spider():
     # three tripods joined at a center: branch vertices form a Y, not linear
     edges = [("c", "n1"), ("c", "n2"), ("c", "n3")]

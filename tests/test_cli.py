@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ SPIDER = {
     "endpoint": "l1",
 }
 INTERVAL = {"vertices": ["p", "q"], "edges": [["p", "q"]], "endpoint": "p"}
+HTREE_TEXT = "endpoint p\n# two hubs\np u\na u\nu v\nv b\nv c\n"
 
 
 @pytest.fixture
@@ -92,6 +94,17 @@ class TestPresent:
         assert cli.main(["present", "--tree", tree_file(HTREE), "--n", "2",
                          "--n-min", "1", "--n-max", "3"]) == 1              # both forms
         assert cli.main(["nonsense"]) == 1
+
+    @pytest.mark.parametrize("field,value", [
+        ("vertices", 5),
+        ("edges", 5),
+        ("vertices", "pauvbc"),       # a string is not a list of one-letter ids
+        ("edges", {"p": "u"}),        # an object is not a list of pairs
+    ])
+    def test_non_array_field_exits_1(self, tree_file, capsys, field, value):
+        code = cli.main(["present", "--tree", tree_file({**HTREE, field: value}), "--n", "2"])
+        assert code == 1
+        assert f"{field}: expected a JSON array" in capsys.readouterr().err
 
     def test_byte_identical_outputs(self, tree_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -172,8 +185,8 @@ class TestVerify:
     def test_mismatch_exits_3(self, tree_file, capsys, monkeypatch):
         real = cubes.betti
 
-        def lying_betti(cx, with_torsion=True):
-            rep = real(cx, with_torsion)
+        def lying_betti(cx):
+            rep = real(cx)
             return cubes.HomologyReport(
                 cell_counts=rep.cell_counts,
                 boundary_ranks=rep.boundary_ranks,
@@ -270,3 +283,62 @@ class TestInternalErrors:
         code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"])
         assert code == 3
         assert "error: boundary^2 != 0" in capsys.readouterr().err
+
+
+class TestInputFuzz:
+    """Seeded random damage to both input formats must land on exit 0, 1
+    or 2; an exception escaping cli.main would print a traceback."""
+
+    PIECES = [b"{", b"}", b"[", b"]", b'"', b",", b":", b" ", b"\n", b"#", b"0", b"-1",
+              b"1.5", b"null", b"true", b"p", b"u", b"v", b"z", b"endpoint", b"\xff"]
+    VALUES = [5, -1, 2.5, None, True, "", "pu", [], [[]], [["p"]], [["p", "p"]],
+              [[1, 2, 3]], {"p": "u"}, [{"p": "u"}], [[None, "u"]], [["p", ["u"]]]]
+
+    def damage(self, rng, data: bytes) -> bytes:
+        """Delete, insert, replace or repeat a short random slice."""
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(data) + 1)
+            j = min(len(data), i + rng.randint(0, 4))
+            op = rng.randrange(4)
+            if op == 0:
+                data = data[:i] + data[j:]
+            elif op == 1:
+                data = data[:i] + rng.choice(self.PIECES) + data[i:]
+            elif op == 2:
+                data = data[:i] + rng.choice(self.PIECES) + data[j:]
+            else:
+                data = data[:j] + data[i:j] + data[j:]
+        return data
+
+    def replace_value(self, rng) -> bytes:
+        """HTREE with one field, or one entry of a list field, replaced."""
+        data = json.loads(json.dumps(HTREE))
+        key = rng.choice(["vertices", "edges", "endpoint"])
+        if key != "endpoint" and rng.random() < 0.5:
+            data[key][rng.randrange(len(data[key]))] = rng.choice(self.VALUES)
+        elif rng.random() < 0.2:
+            del data[key]
+        else:
+            data[key] = rng.choice(self.VALUES)
+        return json.dumps(data).encode()
+
+    @pytest.mark.parametrize("fmt,seed", [("json", 1), ("json", 2), ("text", 3)])
+    def test_damaged_input_exits_0_1_or_2(self, tmp_path, capsys, fmt, seed):
+        rng = random.Random(seed)
+        base = json.dumps(HTREE).encode() if fmt == "json" else HTREE_TEXT.encode()
+        path = tmp_path / "tree"
+        codes = set()
+        for _ in range(300):
+            if fmt == "json" and rng.random() < 0.5:
+                data = self.replace_value(rng)
+            else:
+                data = self.damage(rng, base)
+            path.write_bytes(data)
+            try:
+                code = cli.main(["present", "--tree", str(path), "--n", "2"])
+            except Exception as exc:
+                pytest.fail(f"{data!r} raised {exc!r}")
+            capsys.readouterr()
+            assert code in (0, 1, 2), data
+            codes.add(code)
+        assert {0, 1} <= codes    # the damage reaches both accepted and rejected input

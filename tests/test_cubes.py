@@ -163,12 +163,6 @@ class TestBetti:
         assert data["betti"] == [1, 1]
         assert data["cells"] == [45, 72, 27]
 
-    def test_without_torsion_flag(self, tripod):
-        fine = trees.subdivide(tripod, 2)
-        rep = betti(build_complex(fine, 2, d_max=2), with_torsion=False)
-        assert rep.betti == (1, 1)
-        assert all(t == () for t in rep.torsion)
-
 
 class TestClearing:
     @pytest.mark.parametrize("name,n,parts", [
@@ -297,6 +291,19 @@ class TestCliqueCounts:
         )
         p = Presentation(n=2, generators=frozenset(gens), relations=rels)
         assert raag_clique_counts(p, 3) == (3, 3, 1)
+
+    def test_triangles_match_a_count_over_generator_pairs(self, caterpillar5):
+        d = trees.decompose(caterpillar5)
+        assert d.arm_counts() == (4, 4, 3, 5, 3)
+        p = presentation.assemble(d, 6)
+        neighbours = {g: set() for g in p.generators}
+        for pair in p.relations:
+            for g in pair:
+                neighbours[g] |= pair - {g}
+        # every triangle has three edges, each seeing its third vertex once
+        seen = sum(len(neighbours[g] & neighbours[h]) for g, h in p.relations)
+        assert seen % 3 == 0
+        assert raag_clique_counts(p, 3) == (495, 1758, seen // 3) == (495, 1758, 156)
 
     def test_max_size_validated(self, tripod):
         d = trees.decompose(tripod)

@@ -209,3 +209,11 @@ class TestExport:
         d = trees.decompose(caterpillar3)
         assert to_json(assemble(d, 4)) == to_json(assemble(d, 4))
         assert to_dot(assemble(d, 4)) == to_dot(assemble(d, 4))
+
+    def test_relation_order_is_generator_order(self, caterpillar5):
+        # the index pairs are sorted as ints; they must list the relations
+        # in the order that comparing the generators themselves gives
+        p = assemble(trees.decompose(caterpillar5), 5)
+        by_generators = sorted(tuple(sorted(pair)) for pair in p.relations)
+        assert len(by_generators) > 100
+        assert p.sorted_relations() == by_generators

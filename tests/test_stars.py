@@ -3,9 +3,11 @@ from math import comb
 
 import pytest
 
+from treebraid import stars
 from treebraid.stars import (
     BaseVertexError,
     NotBasisEdgeError,
+    RankMismatchError,
     StarEdge,
     TypeIVertex,
     TypeIIVertex,
@@ -197,6 +199,25 @@ class TestRank:
         # 13 vertices, 15 edges at k=3, n=3
         assert len(type1_vertices(3, 3)) + len(type2_vertices(3, 3)) == 13
         assert len(star_edges(3, 3)) == 15
+
+    def test_edges_are_enumerated_once_per_level(self, monkeypatch):
+        calls = []
+        real = stars.star_edges
+        monkeypatch.setattr(stars, "star_edges", lambda k, n: calls.append((k, n)) or real(k, n))
+        basis.cache_clear()
+        for k, n in [(3, 4), (5, 3), (3, 4)]:
+            rank(k, n)
+        assert calls == [(3, 4), (5, 3)]
+
+    def test_euler_witness_catches_a_wrong_spanning_tree(self, monkeypatch, request):
+        # dropping the last-occupied-arm successor leaves too many basis
+        # edges; the Euler count never asks which edges are tree edges
+        monkeypatch.setattr(stars, "is_tree_edge", lambda e: e.p == 1)
+        basis.cache_clear()
+        request.addfinalizer(basis.cache_clear)
+        assert rank_from_euler(3, 4) == rank_closed_form(3, 4)
+        with pytest.raises(RankMismatchError):
+            rank(3, 4)
 
     def test_degenerate_rows(self):
         assert all(rank(k, 0) == 0 for k in range(2, 6))
