@@ -60,11 +60,6 @@ def _strand_range(args) -> list[int]:
     return list(range(args.n_min, args.n_max + 1))
 
 
-def _load_decomposition(path: str):
-    tree = trees.load_tree(path)
-    return trees.decompose(tree)
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -72,10 +67,12 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def cmd_present(args) -> int:
-    decomp = _load_decomposition(args.tree)
+    tree = trees.load_tree(args.tree)
+    decomp = trees.decompose(tree)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+    levels = []
     for n in _strand_range(args):
         pres = presentation.assemble(decomp, n)
         if out_dir:
@@ -84,9 +81,9 @@ def cmd_present(args) -> int:
                 _write_atomic(out_dir / f"presentation_n{n}.dot", presentation.to_dot(pres))
         else:
             sys.stdout.write(presentation.export(pres, args.format))
-    if args.verify:
-        return cmd_verify(args)
-    return EXIT_OK
+        if args.verify:
+            levels.append((n, cubes.raag_clique_counts(pres, 3)))
+    return _check_levels(tree, levels, args) if args.verify else EXIT_OK
 
 
 def _oracle_report(tree, n, d_max, subdivision, cell_cap):
@@ -105,20 +102,27 @@ def _oracle_report(tree, n, d_max, subdivision, cell_cap):
     return cubes.betti(cx)
 
 
+def _clique_levels(decomp, args):
+    # a generator, so a bad range is reported after the header, as before
+    for n in _strand_range(args):
+        yield n, cubes.raag_clique_counts(presentation.assemble(decomp, n), 3)
+
+
 def cmd_verify(args) -> int:
-    # the oracle gets the input tree: decompose's glue vertices would cut
-    # every hub-hub edge twice as fine as needed
     tree = trees.load_tree(args.tree)
-    decomp = trees.decompose(tree)
+    return _check_levels(tree, _clique_levels(trees.decompose(tree), args), args)
+
+
+def _check_levels(tree, levels, args) -> int:
+    """Oracle verdict for each (n, clique counts) pair, on the input tree:
+    decompose's glue vertices would cut hub-hub edges twice as fine."""
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     header = f"{'n':>3} {'gens':>6} {'rels':>6} {'tris':>6} {'b1':>6} {'b2':>6} {'b3':>4} {'status':>8}"
     print(header)
     failed = False
-    for n in _strand_range(args):
-        pres = presentation.assemble(decomp, n)
-        expect = cubes.raag_clique_counts(pres, 3)
+    for n, expect in levels:
         if n == 0:
             betti = (1, 0, 0)[: args.dmax]
             torsion = [[] for _ in range(args.dmax)]
@@ -171,16 +175,18 @@ def cmd_table(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    decomp = _load_decomposition(args.tree)
+    decomp = trees.decompose(trees.load_tree(args.tree))
     top = max(_strand_range(args))
     print(f"{'level':>10} {'gens':>6} {'rels':>6} {'embedded':>9}")
+    previous = presentation.assemble(decomp, 0)
     for level in range(1, top + 1):
-        step = presentation.stabilize(decomp, level)
+        step = presentation.stabilize(previous, presentation.assemble(decomp, level))
         print(
             f"{level - 1:>4} -> {level:<3} {len(step.target.generators):>6} "
             f"{len(step.target.relations):>6} "
             f"{len(step.mapping):>4}g/{len(step.source.relations)}r"
         )
+        previous = step.target
     print(f"all {top} strand-addition steps embed generators and relations")
     return EXIT_OK
 

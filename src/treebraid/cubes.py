@@ -54,7 +54,6 @@ class CubeComplex:
     n: int
     d_max: int
     vertex_ids: tuple[str, ...]                  # position = interned int id
-    edges: tuple[tuple[int, int], ...]
     cells: tuple[tuple[Cell, ...], ...]          # cells[d], lexicographically sorted
 
     def cell_counts(self) -> list[int]:
@@ -83,13 +82,6 @@ class HomologyReport:
     boundary_ranks: tuple[int, ...]      # rank of d-boundary, d = 1..d_max
     betti: tuple[int, ...]               # b_0 .. b_{d_max - 1}
     torsion: tuple[tuple[int, ...], ...]  # invariant factors != 1 of H_d
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cells": list(self.cell_counts),
-            "betti": list(self.betti),
-            "torsion": [list(t) for t in self.torsion],
-        }
 
 
 def _disjoint_edge_tuples(edges, masks, size: int):
@@ -208,9 +200,7 @@ def build_complex(
     while len(layers) <= d_max:
         layers.append(())   # dimensions above the strand count are empty
 
-    return CubeComplex(
-        tree=tree, n=n, d_max=d_max, vertex_ids=ids, edges=edges, cells=tuple(layers)
-    )
+    return CubeComplex(tree=tree, n=n, d_max=d_max, vertex_ids=ids, cells=tuple(layers))
 
 
 def cell_faces(cell: Cell) -> list[tuple[Cell, int]]:

@@ -149,17 +149,17 @@ def predicate_relations(pres: Presentation, n: int) -> frozenset[frozenset[Gener
     return frozenset(out)
 
 
-def stabilize(decomp: StarDecomposition, n: int) -> StabilizationMap:
-    """The strand-addition embedding of level n-1 into level n.
+def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
+    """The strand-addition embedding of source, at level n - 1, into
+    target, at level n, both assembled from the same decomposition.
 
     Every generator's edge gains one strand on arm 1.  The map is checked:
     images must be generators and image relations must be relations; a
     violation is an implementation bug, not bad input.
     """
-    if n < 1:
-        raise ValueError(f"stabilization needs n >= 1, got {n}")
-    source = assemble(decomp, n - 1)
-    target = assemble(decomp, n)
+    n = target.n
+    if n != source.n + 1:
+        raise ValueError(f"stabilization needs consecutive levels, got {source.n} and {n}")
     mapping = {
         g: Generator(g.star, add_strand(g.edge, 1)) for g in source.generators
     }

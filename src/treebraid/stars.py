@@ -104,7 +104,6 @@ class StarBasis:
     k: int
     n: int
     edges: frozenset[StarEdge]
-    base: TypeIVertex | None    # all strands on arm 1; None when n == 0
 
 
 def arm_vectors(total: int, k: int):
@@ -194,7 +193,7 @@ def basis(k: int, n: int) -> StarBasis:
     over, and every level embeds in the next.
     """
     edges = frozenset(e for e in star_edges(k, n) if not is_tree_edge(e))
-    return StarBasis(k=k, n=n, edges=edges, base=base_vertex(k, n) if n >= 1 else None)
+    return StarBasis(k=k, n=n, edges=edges)
 
 
 def rank_closed_form(k: int, n: int) -> int:
@@ -211,15 +210,18 @@ def rank_closed_form(k: int, n: int) -> int:
 def rank_from_euler(k: int, n: int) -> int:
     """1 - chi of the enumerated complex (a single point when n == 0).
 
-    Edges are counted as the occupied arms of the Type II vertices.  No
-    spanning tree is involved, so this agrees with the basis size only if
-    ``is_tree_edge`` keeps exactly one edge per non-base vertex.
+    Vertices are counted straight from the arm vectors, and edges as the
+    occupied arms of the Type II vertices.  No spanning tree is involved,
+    so this agrees with the basis size only if ``is_tree_edge`` keeps
+    exactly one edge per non-base vertex.
     """
     if n == 0:
         return 0
-    type2 = type2_vertices(k, n)
-    edges = sum(1 for v in type2 for x in v.a if x)
-    return 1 - (len(type1_vertices(k, n)) + len(type2) - edges)
+    type1 = sum(1 for _ in arm_vectors(n - 1, k))
+    occupied = (sum(1 for x in a if x) for a in arm_vectors(n, k))
+    type2 = [arms for arms in occupied if arms >= 2]     # occupied arms = edges
+    return 1 - (type1 + len(type2) - sum(type2))
+
 
 def rank(k: int, n: int) -> int:
     """Free rank of the n-strand group of a k-arm star.

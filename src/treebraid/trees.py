@@ -322,10 +322,11 @@ def validate_linear(tree: Tree) -> tuple[str, ...]:
     return tuple(trunk + tail[1:])
 
 
-def _fresh_glue_id(taken: set[str], left: str, right: str) -> str:
-    base = f"{left}+{right}"
+def _fresh_id(taken: set[str], base: str) -> str:
+    """base, primed until no id in taken uses it; the result joins taken."""
     while base in taken:
         base += "'"
+    taken.add(base)
     return base
 
 
@@ -349,8 +350,7 @@ def decompose(tree: Tree) -> StarDecomposition:
     for j in range(len(node_pos) - 1, 0, -1):
         a, b = node_pos[j - 1], node_pos[j]
         if b == a + 1:
-            glue = _fresh_glue_id(taken, spine[a], spine[b])
-            taken.add(glue)
+            glue = _fresh_id(taken, f"{spine[a]}+{spine[b]}")
             vertices.append(glue)
             edges.remove((spine[a], spine[b]) if spine[a] < spine[b] else (spine[b], spine[a]))
             edges.add((spine[a], glue) if spine[a] < glue else (glue, spine[a]))
@@ -405,17 +405,17 @@ def subdivide_edges(tree: Tree, parts: int) -> Tree:
     """Replace every edge by a path of ``parts`` edges; original ids survive.
 
     New vertices on the edge (u, w), u < w, are named "u:w:1" .. "u:w:parts-1"
-    walking from u to w, so the result is independent of input order.
+    walking from u to w, so the result is independent of input order.  A
+    name some vertex already has is primed ("u:w:1'") until it is fresh.
     """
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
-    vertices = list(tree.vertices)
+    taken = set(tree.vertices)
     edges = []
     for u, w in tree.edges:
-        chain = [u] + [f"{u}:{w}:{i}" for i in range(1, parts)] + [w]
-        vertices.extend(chain[1:-1])
+        chain = [u, *(_fresh_id(taken, f"{u}:{w}:{i}") for i in range(1, parts)), w]
         edges.extend(zip(chain, chain[1:]))
-    return make_tree(vertices, edges, tree.endpoint)
+    return make_tree(taken, edges, tree.endpoint)
 
 
 def subdivide(tree: Tree, n: int) -> Tree:

@@ -110,7 +110,9 @@ def test_criterion_3_stabilization():
     for name in TREES:
         decomp = trees.decompose(TREES[name])
         for n in range(1, 7):
-            step = presentation.stabilize(decomp, n)   # validates images internally
+            step = presentation.stabilize(   # validates images internally
+                presentation.assemble(decomp, n - 1), presentation.assemble(decomp, n)
+            )
             assert len(step.mapping) == len(step.source.generators)
     for k, n in product(range(2, 6), range(7)):
         for e in stars.basis(k, n).edges:

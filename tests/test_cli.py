@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from treebraid import cli, cubes, presentation, stars
+from treebraid import cli, cubes, presentation, stars, trees
 
 HTREE = {
     "vertices": ["p", "a", "u", "v", "b", "c"],
@@ -208,6 +208,37 @@ class TestVerify:
         assert code == 0
         assert (out / "presentation_n2.json").exists()
         assert "PASS" in capsys.readouterr().out
+
+
+    def test_subdivision_ids_that_collide_with_input_ids(self, tree_file, capsys):
+        # "p:u:1" is also the first vertex subdividing the edge p-u
+        tree = {
+            "vertices": [*HTREE["vertices"], "p:u:1"],
+            "edges": [*HTREE["edges"], ["u", "p:u:1"]],
+            "endpoint": "p",
+        }
+        code = cli.main(["verify", "--tree", tree_file(tree), "--n-min", "2", "--n-max", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("PASS") == 3
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("argv", [
+        ["stabilize", "--n", "4"],
+        ["present", "--n-min", "0", "--n-max", "4", "--verify"],
+        ["verify", "--n-min", "0", "--n-max", "4"],
+    ])
+    def test_loads_once_and_assembles_each_level_once(self, tree_file, capsys, monkeypatch, argv):
+        calls = {"assemble": 0, "load_tree": 0}
+        for module, name in ((presentation, "assemble"), (trees, "load_tree")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert cli.main([argv[0], "--tree", tree_file(HTREE), *argv[1:]]) == 0
+        assert calls == {"assemble": 5, "load_tree": 1}
 
 
 class TestTable:

@@ -115,13 +115,13 @@ class TestPredicate:
             assert p.relations == predicate_relations(p, n)
             assert len(p.generators) == stars.rank(4, n) + stars.rank(3, n)
         for n in range(1, 7):
-            stabilize(d, n)
+            stabilize(assemble(d, n - 1), assemble(d, n))
 
 
 class TestStabilize:
     def test_htree_level2_to_3(self, htree):
         d = trees.decompose(htree)
-        step = stabilize(d, 3)
+        step = stabilize(assemble(d, 2), assemble(d, 3))
         assert len(step.mapping) == 2
         for src, dst in step.mapping.items():
             assert dst.edge.a[0] == src.edge.a[0] + 1
@@ -129,7 +129,7 @@ class TestStabilize:
 
     def test_tripod_level3_to_4(self, tripod):
         d = trees.decompose(tripod)
-        step = stabilize(d, 4)
+        step = stabilize(assemble(d, 3), assemble(d, 4))
         assert len(step.source.generators) == 3
         assert len(step.target.generators) == 6
         assert set(step.mapping.values()) <= step.target.generators
@@ -137,23 +137,25 @@ class TestStabilize:
     def test_interval_chain_is_empty(self, interval):
         d = trees.decompose(interval)
         for n in range(1, 6):
-            assert stabilize(d, n).mapping == {}
+            assert stabilize(assemble(d, n - 1), assemble(d, n)).mapping == {}
 
     def test_full_chains(self, tripod, htree, caterpillar3, star4, interval):
         for d in decompositions(tripod, htree, caterpillar3, star4, interval):
             for n in range(1, 7):
-                step = stabilize(d, n)   # raises NaturalityError on any failure
+                # raises NaturalityError on any failure
+                step = stabilize(assemble(d, n - 1), assemble(d, n))
                 assert len(step.mapping) == len(step.source.generators)
 
     def test_relation_monotonicity(self, htree, caterpillar3):
         for d in decompositions(htree, caterpillar3):
             for n in range(1, 7):
-                step = stabilize(d, n)
+                step = stabilize(assemble(d, n - 1), assemble(d, n))
                 assert len(step.source.relations) <= len(step.target.relations)
 
-    def test_rejects_level_zero(self, htree):
+    def test_rejects_non_consecutive_levels(self, htree):
+        d = trees.decompose(htree)
         with pytest.raises(ValueError):
-            stabilize(trees.decompose(htree), 0)
+            stabilize(assemble(d, 1), assemble(d, 3))
 
     def test_broken_shift_is_caught(self, htree, monkeypatch):
         # sabotage the strand-addition map: validation must notice
@@ -164,7 +166,7 @@ class TestStabilize:
 
         monkeypatch.setattr(pres, "add_strand", wrong_shift)
         with pytest.raises(NaturalityError):
-            stabilize(d, 4)
+            stabilize(assemble(d, 3), assemble(d, 4))
 
 
 class TestExport:

@@ -66,7 +66,9 @@ def test_random_caterpillars_full_pipeline():
             )
             assert pres.relations == presentation.predicate_relations(pres, n)
         for n in range(1, 5):
-            step = presentation.stabilize(decomp, n)
+            step = presentation.stabilize(
+                presentation.assemble(decomp, n - 1), presentation.assemble(decomp, n)
+            )
             assert len(step.mapping) == len(step.source.generators)
 
 

@@ -239,6 +239,15 @@ class TestSubdivide:
         with pytest.raises(ValueError):
             subdivide(tripod, 0)
 
+    def test_names_avoid_ids_already_in_the_tree(self):
+        t = tree_from_edges([("p", "u"), ("u", "p:u:1"), ("u", "a")], "p")
+        fine = subdivide_edges(t, 3)
+        assert len(fine.vertices) == 4 + 3 * 2
+        assert fine.neighbors("p") == ("p:u:1'",)
+        assert fine.neighbors("p:u:1'") == ("p", "p:u:2")
+        # names that collide with nothing are the plain "u:w:i"
+        assert {"a:u:1", "a:u:2", "p:u:1:u:1", "p:u:1:u:2"} <= set(fine.vertices)
+
 
 class TestDecomposeReassemble:
     def test_union_and_overlap_all_trees(self, tripod, htree, caterpillar3, star4):
