@@ -19,7 +19,6 @@ from .trees import (
     load_tree,
     make_tree,
     parse_tree,
-    subdivide,
     subdivide_edges,
     validate_linear,
 )

@@ -385,19 +385,8 @@ def raag_clique_counts(pres: Presentation, max_size: int = 3) -> tuple[int, ...]
     if not 1 <= max_size <= 3:
         raise ValueError(f"max_size must be 1..3, got {max_size}")
     later: list[set[int]] = [set() for _ in pres.generators]
-    for i, j in pres.relation_index_pairs():
+    for i, j in pres.relations:
         later[i].add(j)
     triangles = sum(len(later[i] & later[j]) for i, js in enumerate(later) for j in js)
     return (len(pres.generators), len(pres.relations), triangles)[:max_size]
 
-
-def dump_cells(cx: CubeComplex) -> str:
-    """One cell per line: "dim=<d> edges=u-w,... vertices=v,..." (string ids)."""
-    ids = cx.vertex_ids
-    lines = []
-    for d, layer in enumerate(cx.cells):
-        for edges, verts in layer:
-            estr = ",".join(f"{ids[u]}-{ids[w]}" for u, w in edges)
-            vstr = ",".join(ids[v] for v in verts)
-            lines.append(f"dim={d} edges={estr} vertices={vstr}")
-    return "\n".join(lines)

@@ -6,7 +6,10 @@ recursion along the spine: gluing star i onto the trees to its right
 commutes, for each split k of the strands, everything that arrives on star
 i's arm 2 from the shared endpoint with everything on the right-hand side
 that arrives from its left endpoint.  The result is exactly the data of a
-defining graph: vertices = generators, edges = commuting pairs.
+defining graph: vertices = generators, edges = commuting pairs, and a
+``Presentation`` stores it as that graph: the generators sorted by
+(star, a, p), and each commuting pair as an index pair i < j into them,
+the pairs sorted.  The JSON and DOT exports write these fields as they are.
 
 ``assemble`` realizes that sweep literally, by iterating strand-addition
 maps; ``commutation_predicate`` is the equivalent closed form in terms of
@@ -40,34 +43,23 @@ class Generator:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators plus unordered commuting pairs at a fixed strand count."""
+    """The defining graph at a fixed strand count: generators in sorted
+    order, and each commuting pair as an index pair i < j into them, the
+    pairs sorted."""
 
     n: int
-    generators: frozenset[Generator]
-    relations: frozenset[frozenset[Generator]]
-
-    def sorted_generators(self) -> list[Generator]:
-        return sorted(self.generators)
-
-    def sorted_relations(self) -> list[tuple[Generator, Generator]]:
-        gens = self.sorted_generators()
-        return [(gens[i], gens[j]) for i, j in self.relation_index_pairs()]
-
-    def relation_index_pairs(self) -> list[tuple[int, int]]:
-        """Relations as sorted index pairs i < j into sorted_generators();
-        index order is generator order, so sorted_relations() follows it."""
-        index = {g: i for i, g in enumerate(self.sorted_generators())}
-        pairs = ((index[g], index[h]) for g, h in self.relations)
-        return sorted((i, j) if i < j else (j, i) for i, j in pairs)
+    generators: tuple[Generator, ...]
+    relations: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class StabilizationMap:
-    """Embedding of the (n-1)-strand presentation into the n-strand one."""
+    """Embedding of the (n-1)-strand presentation into the n-strand one:
+    mapping[i] is the target index of source generator i."""
 
     source: Presentation
     target: Presentation
-    mapping: dict[Generator, Generator]
+    mapping: tuple[int, ...]
 
 
 def _shift(edge: StarEdge, arm: int, times: int) -> StarEdge:
@@ -76,8 +68,8 @@ def _shift(edge: StarEdge, arm: int, times: int) -> StarEdge:
     return edge
 
 
-def _star_generators(ks, star_index: int, level: int) -> set[Generator]:
-    return {Generator(star_index, e) for e in basis(ks[star_index - 1], level).edges}
+def _sort_key(g: Generator) -> tuple:
+    return g.star, g.edge.a, g.edge.p
 
 
 def assemble(decomp: StarDecomposition, n: int) -> Presentation:
@@ -89,40 +81,45 @@ def assemble(decomp: StarDecomposition, n: int) -> Presentation:
     generator reachable by pushing k strands in along arm 2 and h is an
     X_{i+1} generator reachable by pushing n-k strands in at its left
     endpoint (a uniform arm-1 shift on every constituent star).
+
+    Generators sort star first, so each such pair is an index pair g < h;
+    sorting each g's partners once sorts the pairs.  A shifted edge that
+    is not a level-n generator raises NaturalityError.
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
     ks = decomp.arm_counts()
-    m = len(ks)
-    generators: set[Generator] = set()
-    for i in range(1, m + 1):
-        generators |= _star_generators(ks, i, n)
+    generators = sorted(
+        (Generator(i, e) for i, k in enumerate(ks, 1) for e in basis(k, n).edges),
+        key=_sort_key,
+    )
+    index = {_sort_key(g): j for j, g in enumerate(generators)}
 
-    # suffix_gens[i][lvl]: generators of stars i..m at strand count lvl
-    suffix_gens: dict[int, list[set[Generator]]] = {m + 1: [set() for _ in range(n + 1)]}
-    for i in range(m, 0, -1):
-        suffix_gens[i] = [
-            suffix_gens[i + 1][lvl] | _star_generators(ks, i, lvl)
-            for lvl in range(n + 1)
-        ]
+    def indices(star: int, level: int, arm: int, times: int) -> list[int]:
+        """Level-n indices of star's level-``level`` basis edges after
+        ``times`` strands are pushed in along arm."""
+        out = []
+        for e in basis(ks[star - 1], level).edges:
+            e = _shift(e, arm, times)
+            try:
+                out.append(index[star, e.a, e.p])
+            except KeyError:
+                raise NaturalityError(
+                    f"shifted generator {Generator(star, e)} is not a generator at level {n}"
+                ) from None
+        return out
 
-    relations: set[frozenset[Generator]] = set()
-    for i in range(1, m):
+    # suffix[k]: level-n indices of X_{i+1}'s level-k generators, shifted
+    # n - k strands in along arm 1; later[g]: the partners h > g of g
+    suffix: list[list[int]] = [[] for _ in range(n)]
+    later: list[set[int]] = [set() for _ in generators]
+    for i in range(len(ks) - 1, 0, -1):
         for k in range(1, n):
-            left = {
-                Generator(i, _shift(e, 2, k))
-                for e in basis(ks[i - 1], n - k).edges
-            }
-            if not left:
-                continue
-            right = {
-                Generator(g.star, _shift(g.edge, 1, n - k))
-                for g in suffix_gens[i + 1][k]
-            }
-            relations.update(
-                frozenset((g, h)) for g in left for h in right
-            )
-    return Presentation(n=n, generators=frozenset(generators), relations=frozenset(relations))
+            suffix[k] += indices(i + 1, k, 1, n - k)
+            for g in indices(i, n - k, 2, k):
+                later[g].update(suffix[k])
+    relations = tuple((g, h) for g, hs in enumerate(later) for h in sorted(hs))
+    return Presentation(n=n, generators=tuple(generators), relations=relations)
 
 
 def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
@@ -138,15 +135,15 @@ def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
     return cap >= 1 and cap + hi.edge.a[0] >= n
 
 
-def predicate_relations(pres: Presentation, n: int) -> frozenset[frozenset[Generator]]:
-    """Relation set the closed-form predicate induces on pres's generators."""
-    gens = pres.sorted_generators()
-    out = set()
-    for i, g in enumerate(gens):
-        for h in gens[i + 1:]:
-            if g.star != h.star and commutation_predicate(g, h, n):
-                out.add(frozenset((g, h)))
-    return frozenset(out)
+def predicate_relations(pres: Presentation, n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted index pairs the closed-form predicate induces on pres's generators."""
+    gens = pres.generators
+    return tuple(
+        (i, j)
+        for i, g in enumerate(gens)
+        for j in range(i + 1, len(gens))
+        if g.star != gens[j].star and commutation_predicate(g, gens[j], n)
+    )
 
 
 def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
@@ -154,26 +151,26 @@ def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
     target, at level n, both assembled from the same decomposition.
 
     Every generator's edge gains one strand on arm 1.  The map is checked:
-    images must be generators and image relations must be relations; a
-    violation is an implementation bug, not bad input.
+    images must be distinct generators and image relations must be
+    relations; a violation is an implementation bug, not bad input.
     """
     n = target.n
     if n != source.n + 1:
         raise ValueError(f"stabilization needs consecutive levels, got {source.n} and {n}")
-    mapping = {
-        g: Generator(g.star, add_strand(g.edge, 1)) for g in source.generators
-    }
-    stray = sorted(set(mapping.values()) - target.generators)
-    if stray or len(set(mapping.values())) != len(mapping):
+    index = {g: j for j, g in enumerate(target.generators)}
+    images = [Generator(g.star, add_strand(g.edge, 1)) for g in source.generators]
+    stray = sorted(g for g in images if g not in index)
+    mapping = tuple(index[g] for g in images if g in index)
+    if stray or len(set(mapping)) != len(mapping):
         raise NaturalityError(
             f"generator images escape level {n}: {stray[:3]}"
         )
-    for pair in source.relations:
-        image = frozenset(mapping[g] for g in pair)
-        if image not in target.relations:
-            raise NaturalityError(
-                f"relation image {sorted(image)} missing at level {n}"
-            )
+    relations = set(target.relations)
+    for i, j in source.relations:
+        a, b = sorted((mapping[i], mapping[j]))
+        if (a, b) not in relations:
+            pair = [target.generators[a], target.generators[b]]
+            raise NaturalityError(f"relation image {pair} missing at level {n}")
     return StabilizationMap(source=source, target=target, mapping=mapping)
 
 
@@ -182,9 +179,9 @@ def to_json_dict(pres: Presentation) -> dict:
         "n": pres.n,
         "generators": [
             {"star": g.star, "a": list(g.edge.a), "p": g.edge.p}
-            for g in pres.sorted_generators()
+            for g in pres.generators
         ],
-        "relations": [list(pair) for pair in pres.relation_index_pairs()],
+        "relations": [list(pair) for pair in pres.relations],
     }
 
 
@@ -194,12 +191,11 @@ def to_json(pres: Presentation) -> str:
 
 def to_dot(pres: Presentation) -> str:
     """Defining graph in DOT: one vertex per generator, one edge per relation."""
-    gens = pres.sorted_generators()
     lines = [f"graph strands_{pres.n} {{"]
-    for i, g in enumerate(gens):
+    for i, g in enumerate(pres.generators):
         label = f"s{g.star} a=({','.join(map(str, g.edge.a))}) p={g.edge.p}"
         lines.append(f'  g{i} [label="{label}"];')
-    for i, j in pres.relation_index_pairs():
+    for i, j in pres.relations:
         lines.append(f"  g{i} -- g{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -265,11 +265,3 @@ def capacity(edge: StarEdge, arm: int) -> int:
     count = edge.a[arm - 1]
     return count - 1 if arm == edge.p else count
 
-
-def dump_edges(k: int, n: int) -> str:
-    """Debug dump, one edge per line: "a=(a1,...,ak) p=<arm> [tree|basis]"."""
-    lines = []
-    for e in star_edges(k, n):
-        kind = "tree" if is_tree_edge(e) else "basis"
-        lines.append(f"a=({','.join(map(str, e.a))}) p={e.p} {kind}")
-    return "\n".join(lines)

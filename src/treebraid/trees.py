@@ -417,14 +417,3 @@ def subdivide_edges(tree: Tree, parts: int) -> Tree:
         edges.extend(zip(chain, chain[1:]))
     return make_tree(taken, edges, tree.endpoint)
 
-
-def subdivide(tree: Tree, n: int) -> Tree:
-    """Each edge becomes n + 1 edges: the conservative cut for n strands.
-
-    The oracle in ``treebraid verify`` uses the coarser max(1, n - 1) of
-    Prue and Scrimshaw instead.  The n + 1 cut stays as the reference the
-    tests, the acceptance suite among them, hold the coarse cut against.
-    """
-    if n < 1:
-        raise ValueError(f"strand count must be >= 1, got {n}")
-    return subdivide_edges(tree, n + 1)

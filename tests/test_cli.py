@@ -1,5 +1,6 @@
 import json
 import random
+from hashlib import sha256
 
 import pytest
 
@@ -25,6 +26,14 @@ SPIDER = {
 }
 INTERVAL = {"vertices": ["p", "q"], "edges": [["p", "q"]], "endpoint": "p"}
 HTREE_TEXT = "endpoint p\n# two hubs\np u\na u\nu v\nv b\nv c\n"
+
+
+def tree_json(tree):
+    return {
+        "vertices": list(tree.vertices),
+        "edges": [list(e) for e in tree.edges],
+        "endpoint": tree.endpoint,
+    }
 
 
 @pytest.fixture
@@ -241,6 +250,53 @@ class TestSinglePass:
         assert calls == {"assemble": 5, "load_tree": 1}
 
 
+class TestPinnedOutput:
+    """sha256 digests of outputs recorded from the frozenset-based
+    presentations this package used before; the exported bytes must not
+    drift with the in-memory form."""
+
+    PRESENT_FILES = {
+        "presentation_n0.dot": "fac8353dca9fa796d3b4e87402d781f7adc6713145ca8f7e337eb24cf024fcf5",
+        "presentation_n0.json": "35e7096633fe6116b0e2cfd1791b55f4009559117043e9ea0cbfd69c51f7e3c9",
+        "presentation_n1.dot": "be8b808516c56cb31a0ce1d2d1c0a19bcdad8624be2769dca562e744387b519b",
+        "presentation_n1.json": "a3e5efd13f1fdf95eed4d2ab2d43fcc4fd7708616a8f93457cb38785e6d5b946",
+        "presentation_n2.dot": "4baeb0e532009bf59236db162b6f40826865e2946a890f9401474cf2df88039a",
+        "presentation_n2.json": "de274a257c6f8399a5744530285585fe44823ae441b4e1abcc7b4939ba0384a4",
+        "presentation_n3.dot": "9c28600cc3833e4b0b4399a97793869b0df6593407c977e7b01cb5e0cf1e9297",
+        "presentation_n3.json": "0b6d858ce70eeffba639ce4dd7a40fb5ef2ac1c819befb6aa81573bd101cb2b2",
+        "presentation_n4.dot": "045ae451849e2abe04729ae752a6aef6db3c40180ea8d63ca4ae160e0b445f20",
+        "presentation_n4.json": "ad964c531e29b5292e260f0b342a1b124ce06303a52e4a9f68f75fc4a1d1461d",
+        "presentation_n5.dot": "8d07fde2d320c226bed4cbe34e097918162967898e174b680fc8dc5433c75fc7",
+        "presentation_n5.json": "a79a26e64e961f8e8673dd031dcbc1c10078e9919c18d229f7b6dc2e40eeabb1",
+        "presentation_n6.dot": "5cab49fcec7d1bf8b30cded0a669b4b8dd73f204fea07bfd8ae786b622974cb4",
+        "presentation_n6.json": "7f3634eab606585e31d4c6b2bdd8bdcf4031f39c70b7159e53dbfa8a1a7d21d7",
+        "presentation_n7.dot": "e279d8cd6f7bd1cbe8eafaeedb3f2e93e6a4344b0076f174db60fc4f82370215",
+        "presentation_n7.json": "7f8372274dbc5b517d33ed8e33925df208fa6b3b9e437c0dbf69431854811626",
+        "presentation_n8.dot": "29768a0b5bb58be26a9cf7b276baad2eb3842d8145ffb624a0411b765668832c",
+        "presentation_n8.json": "cb3fc5cef03961d50f8221ae3106ad0847a10d67605518e320767c020c1e6902",
+    }
+    STABILIZE = "742bed62e77c82bf4e3ddb6d03493b1ac8f15ef4fe4f9b2b04d1c25cebc371f2"
+    PRESENT_VERIFY = "6a242e225d00ee961e111339dadec60f496e726d7857cd2051ee17dcad1f93b3"
+
+    def test_present_dot_files_caterpillar5(self, tree_file, caterpillar5, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main([
+            "present", "--tree", tree_file(tree_json(caterpillar5)),
+            "--n-min", "0", "--n-max", "8", "--format", "dot", "--out", str(out),
+        ]) == 0
+        got = {path.name: sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert got == self.PRESENT_FILES
+
+    def test_stabilize_caterpillar5(self, tree_file, caterpillar5, capsys):
+        assert cli.main(["stabilize", "--tree", tree_file(tree_json(caterpillar5)), "--n", "8"]) == 0
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.STABILIZE
+
+    def test_present_verify_htree(self, tree_file, capsys):
+        argv = ["present", "--tree", tree_file(HTREE), "--n-min", "0", "--n-max", "4", "--verify"]
+        assert cli.main(argv) == 0
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.PRESENT_VERIFY
+
+
 class TestTable:
     def test_default_grid(self, capsys):
         assert cli.main(["table"]) == 0
@@ -314,6 +370,16 @@ class TestInternalErrors:
         code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"])
         assert code == 3
         assert "error: boundary^2 != 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shift", [
+        lambda edge, arm: edge,
+        lambda edge, arm: stars.add_strand(stars.add_strand(edge, arm), arm),
+    ], ids=["forgets-the-strand", "adds-two"])
+    def test_broken_shift_in_assemble_exits_3(self, tree_file, capsys, monkeypatch, shift):
+        monkeypatch.setattr(presentation, "add_strand", shift)
+        code = cli.main(["present", "--tree", tree_file(HTREE), "--n", "4"])
+        assert code == 3
+        assert "error: shifted generator" in capsys.readouterr().err
 
 
 class TestInputFuzz:

@@ -12,7 +12,6 @@ from treebraid.cubes import (
     build_complex,
     cell_faces,
     check_boundary_squares_to_zero,
-    dump_cells,
     layer_sizes,
     pi1_presentation,
     raag_clique_counts,
@@ -51,7 +50,7 @@ class TestBuild:
         assert betti(cx).betti == (1, 0, 0)
 
     def test_faces_are_cells(self, htree):
-        fine = trees.subdivide(htree, 2)
+        fine = trees.subdivide_edges(htree, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
         for d in (1, 2):
             lower = set(cx.cells[d - 1])
@@ -60,7 +59,7 @@ class TestBuild:
                     assert face in lower
 
     def test_cells_sorted_and_deterministic(self, tripod):
-        fine = trees.subdivide(tripod, 2)
+        fine = trees.subdivide_edges(tripod, 2 + 1)
         a = build_complex(fine, 2, d_max=3)
         b = build_complex(fine, 2, d_max=3)
         assert a.cells == b.cells
@@ -68,7 +67,7 @@ class TestBuild:
             assert list(layer) == sorted(layer)
 
     def test_resource_cap(self, htree):
-        fine = trees.subdivide(htree, 4)
+        fine = trees.subdivide_edges(htree, 4 + 1)
         with pytest.raises(ResourceCapError):
             build_complex(fine, 4, cell_cap=1000)
 
@@ -103,7 +102,7 @@ class TestBuild:
 class TestBoundary:
     def test_squares_to_zero_small(self, tripod, htree):
         for t, n in [(tripod, 2), (tripod, 3), (htree, 2)]:
-            fine = trees.subdivide(t, n)
+            fine = trees.subdivide_edges(t, n + 1)
             cx = build_complex(fine, n, d_max=3)
             check_boundary_squares_to_zero(cx)
 
@@ -137,26 +136,26 @@ class TestBoundary:
 
 class TestBetti:
     def test_tripod_two_strands_is_a_circle(self, tripod):
-        fine = trees.subdivide(tripod, 2)
+        fine = trees.subdivide_edges(tripod, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
         rep = betti(cx)
         assert rep.betti == (1, 1)
         assert not any(rep.torsion)
 
     def test_interval_contractible(self, interval):
-        fine = trees.subdivide(interval, 3)
+        fine = trees.subdivide_edges(interval, 3 + 1)
         cx = build_complex(fine, 3, d_max=3)
         rep = betti(cx)
         assert rep.betti == (1, 0, 0)
 
     def test_htree_two_strands(self, htree):
-        fine = trees.subdivide(htree, 2)
+        fine = trees.subdivide_edges(htree, 2 + 1)
         rep = betti(build_complex(fine, 2, d_max=3))
         assert rep.betti == (1, 2, 0)
         assert not any(rep.torsion)
 
     def test_report_json_shape(self, tripod):
-        fine = trees.subdivide(tripod, 2)
+        fine = trees.subdivide_edges(tripod, 2 + 1)
         rep = betti(build_complex(fine, 2, d_max=2))
         assert rep.betti == (1, 1)
         assert rep.cell_counts == (45, 72, 27)
@@ -194,13 +193,13 @@ class TestClearing:
 
 class TestPi1:
     def test_tripod_rank_matches_b1(self, tripod):
-        fine = trees.subdivide(tripod, 2)
+        fine = trees.subdivide_edges(tripod, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
         p = pi1_presentation(cx)
         assert p.abelianized_rank() == betti(cx).betti[1] == 1
 
     def test_interval_collapses(self, interval):
-        fine = trees.subdivide(interval, 2)
+        fine = trees.subdivide_edges(interval, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
         p = pi1_presentation(cx)
         assert p.abelianized_rank() == 0
@@ -212,14 +211,14 @@ class TestPi1:
             assert pi1_presentation(cx).abelianized_rank() == 2
 
     def test_relator_words_short(self, tripod):
-        fine = trees.subdivide(tripod, 2)
+        fine = trees.subdivide_edges(tripod, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
         p = pi1_presentation(cx)
         assert len(p.relators) == len(cx.cells[2])
         assert all(len(word) <= 4 for word in p.relators)
 
     def test_generator_count_is_nontree_edges(self, tripod):
-        fine = trees.subdivide(tripod, 2)
+        fine = trees.subdivide_edges(tripod, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
         p = pi1_presentation(cx)
         assert p.generator_count == len(cx.cells[1]) - (len(cx.cells[0]) - 1)
@@ -282,23 +281,21 @@ class TestCliqueCounts:
         from treebraid.presentation import Generator, Presentation
         from treebraid.stars import StarEdge
 
-        gens = [Generator(i, StarEdge((0, 1, 1), 2)) for i in (1, 2, 3)]
-        rels = frozenset(
-            frozenset((gens[i], gens[j])) for i in range(3) for j in range(i + 1, 3)
-        )
-        p = Presentation(n=2, generators=frozenset(gens), relations=rels)
+        gens = tuple(Generator(i, StarEdge((0, 1, 1), 2)) for i in (1, 2, 3))
+        p = Presentation(n=2, generators=gens, relations=((0, 1), (0, 2), (1, 2)))
         assert raag_clique_counts(p, 3) == (3, 3, 1)
 
     def test_triangles_match_a_count_over_generator_pairs(self, caterpillar5):
         d = trees.decompose(caterpillar5)
         assert d.arm_counts() == (4, 4, 3, 5, 3)
         p = presentation.assemble(d, 6)
+        pairs = [(p.generators[i], p.generators[j]) for i, j in p.relations]
         neighbours = {g: set() for g in p.generators}
-        for pair in p.relations:
-            for g in pair:
-                neighbours[g] |= pair - {g}
+        for g, h in pairs:
+            neighbours[g].add(h)
+            neighbours[h].add(g)
         # every triangle has three edges, each seeing its third vertex once
-        seen = sum(len(neighbours[g] & neighbours[h]) for g, h in p.relations)
+        seen = sum(len(neighbours[g] & neighbours[h]) for g, h in pairs)
         assert seen % 3 == 0
         assert raag_clique_counts(p, 3) == (495, 1758, seen // 3) == (495, 1758, 156)
 
@@ -309,12 +306,3 @@ class TestCliqueCounts:
             raag_clique_counts(p, 4)
         assert raag_clique_counts(p, 1) == (1,)
 
-
-class TestDump:
-    def test_dump_uses_string_ids(self):
-        cx = build_complex(path_tree(2), 1, d_max=1)
-        text = dump_cells(cx)
-        lines = text.splitlines()
-        assert len(lines) == 3 + 2
-        assert lines[0] == "dim=0 edges= vertices=0"
-        assert any(line == "dim=1 edges=0-1 vertices=" for line in lines)

@@ -7,6 +7,7 @@ from treebraid import stars, trees
 from treebraid.presentation import (
     Generator,
     NaturalityError,
+    Presentation,
     SameStarError,
     assemble,
     commutation_predicate,
@@ -21,6 +22,10 @@ from treebraid.stars import StarEdge
 
 def decompositions(*fixtures):
     return [trees.decompose(t) for t in fixtures]
+
+
+def generator_pairs(p):
+    return [(p.generators[i], p.generators[j]) for i, j in p.relations]
 
 
 class TestAssemble:
@@ -38,7 +43,7 @@ class TestAssemble:
     def test_htree_n4_relation_is_the_known_pair(self, htree):
         d = trees.decompose(htree)
         p = assemble(d, 4)
-        assert p.sorted_relations() == [
+        assert generator_pairs(p) == [
             (Generator(1, StarEdge((0, 3, 1), 2)), Generator(2, StarEdge((2, 1, 1), 2)))
         ]
 
@@ -47,7 +52,7 @@ class TestAssemble:
         p = assemble(d, 4)
         assert len(p.generators) == 18
         assert len(p.relations) == 3
-        assert {(g.star, h.star) for g, h in p.sorted_relations()} == {(1, 2), (1, 3), (2, 3)}
+        assert {(g.star, h.star) for g, h in generator_pairs(p)} == {(1, 2), (1, 3), (2, 3)}
 
     def test_generator_count_additivity(self, tripod, htree, caterpillar3, star4):
         for d in decompositions(tripod, htree, caterpillar3, star4):
@@ -59,12 +64,19 @@ class TestAssemble:
     def test_relations_join_distinct_stars(self, caterpillar3):
         d = trees.decompose(caterpillar3)
         for n in range(7):
-            for g, h in assemble(d, n).sorted_relations():
+            for g, h in generator_pairs(assemble(d, n)):
                 assert g.star != h.star
 
     def test_negative_n_rejected(self, tripod):
         with pytest.raises(ValueError):
             assemble(trees.decompose(tripod), -1)
+
+    def test_broken_shift_is_caught(self, htree, monkeypatch):
+        # a shifted edge that is not a level-n generator is a bug, and must
+        # surface as NaturalityError rather than a KeyError
+        monkeypatch.setattr(pres, "add_strand", lambda edge, arm: edge)
+        with pytest.raises(NaturalityError, match="not a generator at level 4"):
+            assemble(trees.decompose(htree), 4)
 
 
 class TestPredicate:
@@ -79,7 +91,7 @@ class TestPredicate:
     def test_htree_n3_all_false(self, htree):
         d = trees.decompose(htree)
         p = assemble(d, 3)
-        gens = p.sorted_generators()
+        gens = p.generators
         assert not any(
             commutation_predicate(g, h, 3)
             for i, g in enumerate(gens)
@@ -123,7 +135,8 @@ class TestStabilize:
         d = trees.decompose(htree)
         step = stabilize(assemble(d, 2), assemble(d, 3))
         assert len(step.mapping) == 2
-        for src, dst in step.mapping.items():
+        for i, j in enumerate(step.mapping):
+            src, dst = step.source.generators[i], step.target.generators[j]
             assert dst.edge.a[0] == src.edge.a[0] + 1
             assert dst.edge.a[1:] == src.edge.a[1:]
 
@@ -132,12 +145,12 @@ class TestStabilize:
         step = stabilize(assemble(d, 3), assemble(d, 4))
         assert len(step.source.generators) == 3
         assert len(step.target.generators) == 6
-        assert set(step.mapping.values()) <= step.target.generators
+        assert set(step.mapping) <= set(range(len(step.target.generators)))
 
     def test_interval_chain_is_empty(self, interval):
         d = trees.decompose(interval)
         for n in range(1, 6):
-            assert stabilize(assemble(d, n - 1), assemble(d, n)).mapping == {}
+            assert stabilize(assemble(d, n - 1), assemble(d, n)).mapping == ()
 
     def test_full_chains(self, tripod, htree, caterpillar3, star4, interval):
         for d in decompositions(tripod, htree, caterpillar3, star4, interval):
@@ -160,13 +173,22 @@ class TestStabilize:
     def test_broken_shift_is_caught(self, htree, monkeypatch):
         # sabotage the strand-addition map: validation must notice
         d = trees.decompose(htree)
+        source, target = assemble(d, 3), assemble(d, 4)
 
         def wrong_shift(edge, arm):
             return edge   # forgets to add the strand
 
         monkeypatch.setattr(pres, "add_strand", wrong_shift)
-        with pytest.raises(NaturalityError):
-            stabilize(assemble(d, 3), assemble(d, 4))
+        with pytest.raises(NaturalityError, match="generator images escape level 4"):
+            stabilize(source, target)
+
+    def test_missing_relation_image_is_caught(self, htree):
+        d = trees.decompose(htree)
+        source, target = assemble(d, 4), assemble(d, 5)
+        assert source.relations
+        dropped = Presentation(n=5, generators=target.generators, relations=())
+        with pytest.raises(NaturalityError, match="relation image .* missing at level 5"):
+            stabilize(source, dropped)
 
 
 class TestExport:
@@ -216,6 +238,8 @@ class TestExport:
         # the index pairs are sorted as ints; they must list the relations
         # in the order that comparing the generators themselves gives
         p = assemble(trees.decompose(caterpillar5), 5)
-        by_generators = sorted(tuple(sorted(pair)) for pair in p.relations)
+        assert list(p.generators) == sorted(p.generators)
+        pairs = generator_pairs(p)
+        by_generators = sorted(tuple(sorted(pair)) for pair in pairs)
         assert len(by_generators) > 100
-        assert p.sorted_relations() == by_generators
+        assert pairs == by_generators

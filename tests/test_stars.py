@@ -15,7 +15,6 @@ from treebraid.stars import (
     base_vertex,
     basis,
     capacity,
-    dump_edges,
     is_tree_edge,
     last_occupied_arm,
     rank,
@@ -166,6 +165,10 @@ class TestSpanningTree:
         assert tree | free == set(star_edges(k, n))
         assert not tree & free
 
+    def test_is_tree_edge_consistent(self):
+        for e in star_edges(4, 3):
+            assert is_tree_edge(e) == (e in spanning_tree(4, 3))
+
 
 class TestBasis:
     def test_examples(self):
@@ -283,16 +286,3 @@ class TestCapacity:
                     image = {add_strand(e, arm) for e in image}
                 for e in basis(k, n).edges:
                     assert (e in image) == (capacity(e, arm) >= t), (e, arm, t)
-
-
-class TestDump:
-    def test_dump_lines(self):
-        text = dump_edges(3, 2)
-        lines = text.splitlines()
-        assert len(lines) == len(star_edges(3, 2))
-        assert "a=(0,1,1) p=2 basis" in lines
-        assert "a=(1,1,0) p=1 tree" in lines
-
-    def test_is_tree_edge_consistent(self):
-        for e in star_edges(4, 3):
-            assert is_tree_edge(e) == (e in spanning_tree(4, 3))

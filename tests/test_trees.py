@@ -8,7 +8,6 @@ from treebraid.trees import (
     ParseError,
     decompose,
     parse_tree,
-    subdivide,
     subdivide_edges,
     validate_linear,
 )
@@ -211,33 +210,34 @@ class TestDecompose:
 class TestSubdivide:
     def test_single_edge(self):
         t = tree_from_edges([("a", "b")], "a")
-        fine = subdivide(t, 2)
+        fine = subdivide_edges(t, 3)
         assert len(fine.edges) == 3 and len(fine.vertices) == 4
 
     def test_tripod_counts(self, tripod):
-        fine = subdivide(tripod, 2)
+        fine = subdivide_edges(tripod, 3)
         assert len(fine.edges) == 9 and len(fine.vertices) == 10
 
     def test_htree_counts(self, htree):
-        fine = subdivide(htree, 4)
+        fine = subdivide_edges(htree, 5)
         assert len(fine.edges) == 25 and len(fine.vertices) == 26
 
     def test_originals_preserved_and_deterministic(self, htree):
-        fine1 = subdivide(htree, 3)
-        fine2 = subdivide(htree, 3)
+        fine1 = subdivide_edges(htree, 4)
+        fine2 = subdivide_edges(htree, 4)
         assert fine1 == fine2
         assert set(htree.vertices) <= set(fine1.vertices)
 
     def test_degree_sequence_of_essential_vertices_unchanged(self, htree, star4):
         for tree in (htree, star4):
-            fine = subdivide(tree, 3)
+            fine = subdivide_edges(tree, 4)
             before = sorted(tree.degree(v) for v in tree.vertices if tree.degree(v) != 2)
             after = sorted(fine.degree(v) for v in fine.vertices if fine.degree(v) != 2)
             assert before == after
 
     def test_rejects_zero_strands(self, tripod):
+        # zero pieces per edge
         with pytest.raises(ValueError):
-            subdivide(tripod, 0)
+            subdivide_edges(tripod, 0)
 
     def test_names_avoid_ids_already_in_the_tree(self):
         t = tree_from_edges([("p", "u"), ("u", "p:u:1"), ("u", "a")], "p")
