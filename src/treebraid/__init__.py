@@ -1,18 +1,16 @@
 """Commutator presentations of the strand groups of linear trees.
 
-The pipeline: parse a tree with a marked endpoint, peel it into stars
-along its spine, enumerate each star's free basis, and glue the pieces
-into a presentation whose only relations are commutators (the data of a
-defining graph).  An independent discretized-configuration cube complex
-with exact integer homology cross-checks the result.
+The pipeline: parse a tree with a marked endpoint, read the arm count of
+each star (branch vertex) along its spine, enumerate each star's free
+basis, and glue the pieces into a presentation whose only relations are
+commutators (the data of a defining graph).  An independent
+discretized-configuration cube complex with exact integer homology
+cross-checks the result.
 """
 from .trees import (
-    Arm,
     InvalidTreeError,
     NotLinearError,
     ParseError,
-    Star,
-    StarDecomposition,
     Tree,
     TreeError,
     decompose,
@@ -23,7 +21,6 @@ from .trees import (
     validate_linear,
 )
 from .stars import (
-    StarBasis,
     StarEdge,
     TypeIVertex,
     TypeIIVertex,

@@ -68,13 +68,13 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def cmd_present(args) -> int:
     tree = trees.load_tree(args.tree)
-    decomp = trees.decompose(tree)
+    arm_counts = trees.decompose(tree)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     levels = []
     for n in _strand_range(args):
-        pres = presentation.assemble(decomp, n)
+        pres = presentation.assemble(arm_counts, n)
         if out_dir:
             _write_atomic(out_dir / f"presentation_n{n}.json", presentation.to_json(pres))
             if args.format == "dot":
@@ -102,10 +102,10 @@ def _oracle_report(tree, n, d_max, subdivision, cell_cap):
     return cubes.betti(cx)
 
 
-def _clique_levels(decomp, args):
+def _clique_levels(arm_counts, args):
     # a generator, so a bad range is reported after the header, as before
     for n in _strand_range(args):
-        yield n, cubes.raag_clique_counts(presentation.assemble(decomp, n), 3)
+        yield n, cubes.raag_clique_counts(presentation.assemble(arm_counts, n), 3)
 
 
 def cmd_verify(args) -> int:
@@ -114,8 +114,9 @@ def cmd_verify(args) -> int:
 
 
 def _check_levels(tree, levels, args) -> int:
-    """Oracle verdict for each (n, clique counts) pair, on the input tree:
-    decompose's glue vertices would cut hub-hub edges twice as fine."""
+    """Oracle verdict for each (n, clique counts) pair.  The counts come
+    from the tree's arm counts in spine order alone; the oracle builds its
+    complex on the input tree itself."""
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -158,6 +159,10 @@ def _check_levels(tree, levels, args) -> int:
 
 
 def cmd_table(args) -> int:
+    if not 2 <= args.k_min <= args.k_max:
+        raise ValueError("need 2 <= --k-min <= --k-max")
+    if not 0 <= args.n_min <= args.n_max:
+        raise ValueError("need 0 <= --n-min <= --n-max")
     ks = list(range(args.k_min, args.k_max + 1))
     ns = list(range(args.n_min, args.n_max + 1))
     print("free rank of the n-strand group of a k-arm star")
@@ -175,12 +180,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    decomp = trees.decompose(trees.load_tree(args.tree))
+    arm_counts = trees.decompose(trees.load_tree(args.tree))
     top = max(_strand_range(args))
     print(f"{'level':>10} {'gens':>6} {'rels':>6} {'embedded':>9}")
-    previous = presentation.assemble(decomp, 0)
+    previous = presentation.assemble(arm_counts, 0)
     for level in range(1, top + 1):
-        step = presentation.stabilize(previous, presentation.assemble(decomp, level))
+        step = presentation.stabilize(previous, presentation.assemble(arm_counts, level))
         print(
             f"{level - 1:>4} -> {level:<3} {len(step.target.generators):>6} "
             f"{len(step.target.relations):>6} "

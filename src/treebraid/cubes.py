@@ -53,7 +53,6 @@ class CubeComplex:
     tree: Tree
     n: int
     d_max: int
-    vertex_ids: tuple[str, ...]                  # position = interned int id
     cells: tuple[tuple[Cell, ...], ...]          # cells[d], lexicographically sorted
 
     def cell_counts(self) -> list[int]:
@@ -64,13 +63,8 @@ class CubeComplex:
 class BoundaryMatrix:
     """Signed incidence of d-cells (columns) on (d-1)-cells (rows)."""
 
-    dimension: int
     nrows: int
     columns: tuple[tuple[tuple[int, int], ...], ...]   # per column: ((row, sign), ...)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
 
     def to_sparse(self) -> SparseIntMatrix:
         return SparseIntMatrix.from_columns(self.nrows, self.columns)
@@ -200,7 +194,7 @@ def build_complex(
     while len(layers) <= d_max:
         layers.append(())   # dimensions above the strand count are empty
 
-    return CubeComplex(tree=tree, n=n, d_max=d_max, vertex_ids=ids, cells=tuple(layers))
+    return CubeComplex(tree=tree, n=n, d_max=d_max, cells=tuple(layers))
 
 
 def cell_faces(cell: Cell) -> list[tuple[Cell, int]]:
@@ -230,7 +224,7 @@ def boundary_matrix(cx: CubeComplex, d: int, skip=frozenset()) -> BoundaryMatrix
         for j, cell in enumerate(cx.cells[d])
         if j not in skip
     )
-    return BoundaryMatrix(dimension=d, nrows=len(cx.cells[d - 1]), columns=columns)
+    return BoundaryMatrix(nrows=len(cx.cells[d - 1]), columns=columns)
 
 
 def check_boundary_squares_to_zero(cx: CubeComplex) -> None:

@@ -1,7 +1,9 @@
 """Commutator-only presentations of the n-strand group of a linear tree.
 
-Generators are the star-complex basis edges of each star in the
-decomposition, tagged with the 1-based star index.  Relations are built by
+A linear tree enters only through its arm counts: the degrees of its
+branch vertices, in spine order from the marked endpoint (see
+``trees.decompose``).  Generators are the star-complex basis edges of
+each star, tagged with the 1-based star index.  Relations are built by
 recursion along the spine: gluing star i onto the trees to its right
 commutes, for each split k of the strands, everything that arrives on star
 i's arm 2 from the shared endpoint with everything on the right-hand side
@@ -22,7 +24,6 @@ import json
 from dataclasses import dataclass
 
 from .stars import StarEdge, add_strand, basis, capacity
-from .trees import StarDecomposition
 
 
 class SameStarError(ValueError):
@@ -72,8 +73,9 @@ def _sort_key(g: Generator) -> tuple:
     return g.star, g.edge.a, g.edge.p
 
 
-def assemble(decomp: StarDecomposition, n: int) -> Presentation:
-    """Presentation of the n-strand group of the decomposed tree.
+def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
+    """Presentation of the n-strand group of the linear tree whose stars,
+    in spine order, have these arm counts.
 
     Recursion over the suffix tree X_i = stars i..m: a single star is free;
     gluing star i on the left keeps all of X_{i+1}'s relations and adds,
@@ -88,9 +90,8 @@ def assemble(decomp: StarDecomposition, n: int) -> Presentation:
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
-    ks = decomp.arm_counts()
     generators = sorted(
-        (Generator(i, e) for i, k in enumerate(ks, 1) for e in basis(k, n).edges),
+        (Generator(i, e) for i, k in enumerate(arm_counts, 1) for e in basis(k, n)),
         key=_sort_key,
     )
     index = {_sort_key(g): j for j, g in enumerate(generators)}
@@ -99,7 +100,7 @@ def assemble(decomp: StarDecomposition, n: int) -> Presentation:
         """Level-n indices of star's level-``level`` basis edges after
         ``times`` strands are pushed in along arm."""
         out = []
-        for e in basis(ks[star - 1], level).edges:
+        for e in basis(arm_counts[star - 1], level):
             e = _shift(e, arm, times)
             try:
                 out.append(index[star, e.a, e.p])
@@ -113,7 +114,7 @@ def assemble(decomp: StarDecomposition, n: int) -> Presentation:
     # n - k strands in along arm 1; later[g]: the partners h > g of g
     suffix: list[list[int]] = [[] for _ in range(n)]
     later: list[set[int]] = [set() for _ in generators]
-    for i in range(len(ks) - 1, 0, -1):
+    for i in range(len(arm_counts) - 1, 0, -1):
         for k in range(1, n):
             suffix[k] += indices(i + 1, k, 1, n - k)
             for g in indices(i, n - k, 2, k):
@@ -148,7 +149,7 @@ def predicate_relations(pres: Presentation, n: int) -> tuple[tuple[int, int], ..
 
 def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
     """The strand-addition embedding of source, at level n - 1, into
-    target, at level n, both assembled from the same decomposition.
+    target, at level n, both assembled from the same arm counts.
 
     Every generator's edge gains one strand on arm 1.  The map is checked:
     images must be distinct generators and image relations must be

@@ -45,28 +45,12 @@ class TypeIVertex:
 
     b: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.b)
-
-    @property
-    def n(self) -> int:
-        return sum(self.b) + 1
-
 
 @dataclass(frozen=True, order=True)
 class TypeIIVertex:
     """Hub free; a = strands per arm (sum n, at least two arms occupied)."""
 
     a: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.a)
-
-    @property
-    def n(self) -> int:
-        return sum(self.a)
 
 
 @dataclass(frozen=True, order=True)
@@ -80,14 +64,6 @@ class StarEdge:
     a: tuple[int, ...]
     p: int
 
-    @property
-    def k(self) -> int:
-        return len(self.a)
-
-    @property
-    def n(self) -> int:
-        return sum(self.a)
-
     def type2(self) -> TypeIIVertex:
         return TypeIIVertex(self.a)
 
@@ -95,15 +71,6 @@ class StarEdge:
         b = list(self.a)
         b[self.p - 1] -= 1
         return TypeIVertex(tuple(b))
-
-
-@dataclass(frozen=True)
-class StarBasis:
-    """Free basis of the n-strand group of a k-arm star."""
-
-    k: int
-    n: int
-    edges: frozenset[StarEdge]
 
 
 def arm_vectors(total: int, k: int):
@@ -185,15 +152,15 @@ def spanning_tree(k: int, n: int) -> frozenset[StarEdge]:
 
 
 @lru_cache(maxsize=None)
-def basis(k: int, n: int) -> StarBasis:
-    """Edges outside the spanning tree: a free basis, in closed form the
-    edges (a, p) with a[p-1] >= 1 and p neither 1 nor the last occupied arm.
+def basis(k: int, n: int) -> frozenset[StarEdge]:
+    """Edges outside the spanning tree: a free basis of the n-strand group
+    of a k-arm star, in closed form the edges (a, p) with a[p-1] >= 1 and
+    p neither 1 nor the last occupied arm.
 
     Cached: assembling presentations sweeps the same (k, n) levels over and
     over, and every level embeds in the next.
     """
-    edges = frozenset(e for e in star_edges(k, n) if not is_tree_edge(e))
-    return StarBasis(k=k, n=n, edges=edges)
+    return frozenset(e for e in star_edges(k, n) if not is_tree_edge(e))
 
 
 def rank_closed_form(k: int, n: int) -> int:
@@ -230,7 +197,7 @@ def rank(k: int, n: int) -> int:
     Euler characteristic and the closed form; a disagreement means the
     implementation is broken and raises RankMismatchError.
     """
-    enumerated = len(basis(k, n).edges)
+    enumerated = len(basis(k, n))
     euler = rank_from_euler(k, n)
     closed = rank_closed_form(k, n)
     if not (enumerated == euler == closed):

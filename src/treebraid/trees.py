@@ -6,11 +6,12 @@ degree-1 vertex singled out.  The module knows how to
 * parse trees from JSON or a simple adjacency text format,
 * test the "linear" condition: every branch vertex (degree >= 3) lies on a
   single path starting at the marked endpoint,
-* peel a linear tree into an ordered sequence of stars glued end to end,
+* read off a linear tree's arm counts: the degrees of its branch vertices
+  in spine order, which is all the presentation takes from a tree,
 * subdivide edges (needed by the cube-complex verifier).
 
-Everything is immutable and deterministic: arms, spines and ids are ordered
-by string comparison, never by hash order.
+Everything is immutable and deterministic: spines and ids are ordered by
+string comparison, never by hash order.
 """
 from __future__ import annotations
 
@@ -69,68 +70,6 @@ class Tree:
 
     def leaves(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.degree(v) == 1)
-
-
-@dataclass(frozen=True)
-class Arm:
-    """One arm of a star: the path from the hub to ``endpoint`` (inclusive)."""
-
-    endpoint: str
-    length: int
-    path: tuple[str, ...]   # hub first, endpoint last; len(path) == length + 1
-
-
-@dataclass(frozen=True)
-class Star:
-    """A hub vertex together with k >= 2 ordered arms.
-
-    Arm 1 points toward the tree's marked endpoint; arm 2 continues along
-    the spine (or, for the last star, toward the lowest-id leaf).  The
-    remaining arms are sorted by endpoint id.
-    """
-
-    node: str
-    arms: tuple[Arm, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.arms)
-
-    def arm(self, i: int) -> Arm:
-        """1-based arm access."""
-        return self.arms[i - 1]
-
-    def edge_set(self) -> frozenset[tuple[str, str]]:
-        out = set()
-        for arm in self.arms:
-            for u, w in zip(arm.path, arm.path[1:]):
-                out.add((u, w) if u < w else (w, u))
-        return frozenset(out)
-
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(v for arm in self.arms for v in arm.path)
-
-
-@dataclass(frozen=True)
-class StarDecomposition:
-    """Ordered stars peeled from the marked endpoint of a linear tree.
-
-    ``tree`` is the normalized tree: identical to the input except that a
-    fresh glue vertex is inserted wherever two hubs were adjacent, so that
-    consecutive stars always meet in a single shared endpoint.
-    """
-
-    tree: Tree
-    stars: tuple[Star, ...]
-    glue_points: tuple[str, ...]
-    spine: tuple[str, ...]
-
-    @property
-    def is_interval(self) -> bool:
-        return not self.stars
-
-    def arm_counts(self) -> tuple[int, ...]:
-        return tuple(s.k for s in self.stars)
 
 
 def make_tree(vertices, edges, endpoint: str) -> Tree:
@@ -330,75 +269,17 @@ def _fresh_id(taken: set[str], base: str) -> str:
     return base
 
 
-def decompose(tree: Tree) -> StarDecomposition:
-    """Peel a linear tree into stars, left to right along the spine.
+def decompose(tree: Tree) -> tuple[int, ...]:
+    """Arm counts of the stars of a linear tree, in spine order.
 
-    Consecutive hubs that are adjacent get a fresh glue vertex inserted
-    between them, so star i and star i+1 always intersect in exactly one
-    vertex: glue_points[i-1], which is arm 2's endpoint of star i and arm
-    1's endpoint of star i+1.  A node-free tree yields no stars at all.
+    Star i is the i-th branch vertex met walking the spine from the marked
+    endpoint, and its arm count is that vertex's degree.  This tuple is all
+    the presentation reads of a tree: two linear trees with the same arm
+    counts, such as a tree and any subdivision of it, have the same strand
+    groups.  An interval has no stars and gives ().
     """
-    spine = list(validate_linear(tree))
-    vertices = list(tree.vertices)
-    edges = set(tree.edges)
-    node_pos = [i for i, v in enumerate(spine) if tree.degree(v) >= 3]
-    if not node_pos:
-        return StarDecomposition(tree=tree, stars=(), glue_points=(), spine=tuple(spine))
-
-    # normalize: make sure every consecutive hub pair has an interior vertex
-    taken = set(vertices)
-    for j in range(len(node_pos) - 1, 0, -1):
-        a, b = node_pos[j - 1], node_pos[j]
-        if b == a + 1:
-            glue = _fresh_id(taken, f"{spine[a]}+{spine[b]}")
-            vertices.append(glue)
-            edges.remove((spine[a], spine[b]) if spine[a] < spine[b] else (spine[b], spine[a]))
-            edges.add((spine[a], glue) if spine[a] < glue else (glue, spine[a]))
-            edges.add((glue, spine[b]) if glue < spine[b] else (spine[b], glue))
-            spine.insert(b, glue)
-    norm = make_tree(vertices, edges, tree.endpoint)
-    node_pos = [i for i, v in enumerate(spine) if norm.degree(v) >= 3]
-
-    glue_idx = []
-    for a, b in zip(node_pos, node_pos[1:]):
-        glue_idx.append((a + b) // 2)   # an interior spine vertex; b - a >= 2
-    glue_points = tuple(spine[i] for i in glue_idx)
-
-    def spine_arm(hub_i: int, other_i: int) -> Arm:
-        if hub_i < other_i:
-            path = tuple(spine[hub_i:other_i + 1])
-        else:
-            path = tuple(spine[other_i:hub_i + 1][::-1])
-        return Arm(endpoint=path[-1], length=len(path) - 1, path=path)
-
-    def branch_arms(hub_i: int, exclude: set[str]) -> list[Arm]:
-        hub = spine[hub_i]
-        arms = []
-        for x in norm.neighbors(hub):
-            if x in exclude:
-                continue
-            path = tuple(_walk_path(norm, hub, x))
-            arms.append(Arm(endpoint=path[-1], length=len(path) - 1, path=path))
-        arms.sort(key=lambda arm: arm.endpoint)
-        return arms
-
-    stars = []
-    m = len(node_pos)
-    for i, hub_i in enumerate(node_pos):
-        hub = spine[hub_i]
-        arm1 = spine_arm(hub_i, 0 if i == 0 else glue_idx[i - 1])
-        if i < m - 1:
-            arm2 = spine_arm(hub_i, glue_idx[i])
-            rest = branch_arms(hub_i, {arm1.path[1], arm2.path[1]})
-            arms = (arm1, arm2, *rest)
-        else:
-            rest = branch_arms(hub_i, {arm1.path[1]})
-            arms = (arm1, *rest)   # rest is endpoint-sorted; rest[0] is arm 2
-        stars.append(Star(node=hub, arms=arms))
-
-    return StarDecomposition(
-        tree=norm, stars=tuple(stars), glue_points=glue_points, spine=tuple(spine)
-    )
+    spine = validate_linear(tree)
+    return tuple(tree.degree(v) for v in spine if tree.degree(v) >= 3)
 
 
 def subdivide_edges(tree: Tree, parts: int) -> Tree:

@@ -65,7 +65,7 @@ def report(message: str) -> None:
 
 def test_criterion_1_star_rank_table():
     for k, n in product(range(2, 6), range(7)):
-        enumerated = len(stars.basis(k, n).edges)
+        enumerated = len(stars.basis(k, n))
         assert enumerated == stars.rank_from_euler(k, n)
         assert enumerated == stars.rank_closed_form(k, n)
         assert stars.rank(k, n) == enumerated
@@ -108,14 +108,14 @@ def test_criterion_2_spanning_tree_properties():
 
 def test_criterion_3_stabilization():
     for name in TREES:
-        decomp = trees.decompose(TREES[name])
+        arm_counts = trees.decompose(TREES[name])
         for n in range(1, 7):
             step = presentation.stabilize(   # validates images internally
-                presentation.assemble(decomp, n - 1), presentation.assemble(decomp, n)
+                presentation.assemble(arm_counts, n - 1), presentation.assemble(arm_counts, n)
             )
             assert len(step.mapping) == len(step.source.generators)
     for k, n in product(range(2, 6), range(7)):
-        for e in stars.basis(k, n).edges:
+        for e in stars.basis(k, n):
             one_two = stars.add_strand(stars.add_strand(e, 1), 2)
             two_one = stars.add_strand(stars.add_strand(e, 2), 1)
             assert one_two == two_one
@@ -128,9 +128,9 @@ def test_criterion_3_stabilization():
 
 def test_criterion_4_closed_form_equals_recursive_sweep():
     for name in TREES:
-        decomp = trees.decompose(TREES[name])
+        arm_counts = trees.decompose(TREES[name])
         for n in range(7):
-            pres = presentation.assemble(decomp, n)
+            pres = presentation.assemble(arm_counts, n)
             assert pres.relations == presentation.predicate_relations(pres, n), (name, n)
     htree = trees.decompose(TREES["htree"])
     counts = [len(presentation.assemble(htree, n).relations) for n in range(1, 5)]

@@ -319,6 +319,18 @@ class TestTable:
         )
         assert row.split()[1:] == ["0"] * 7
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--k-min", "0"], "need 2 <= --k-min <= --k-max"),
+        (["--k-min", "1"], "need 2 <= --k-min <= --k-max"),
+        (["--k-min", "5", "--k-max", "2"], "need 2 <= --k-min <= --k-max"),
+        (["--n-min", "-2"], "need 0 <= --n-min <= --n-max"),
+        (["--n-min", "4", "--n-max", "1"], "need 0 <= --n-min <= --n-max"),
+    ], ids=["k-min-0", "k-min-1", "k-min-above-k-max", "n-min-negative", "n-min-above-n-max"])
+    def test_bad_range_exits_1_before_printing(self, argv, message, capsys):
+        assert cli.main(["table", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestStabilize:

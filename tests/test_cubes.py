@@ -230,7 +230,6 @@ class TestPi1:
             tree=base.tree,
             n=1,
             d_max=2,
-            vertex_ids=base.vertex_ids,
             cells=((((), (0,)), ((), (1,))), (), ()),   # two 0-cells, no 1-cells
         )
         with pytest.raises(DisconnectedComplexError):
@@ -287,7 +286,7 @@ class TestCliqueCounts:
 
     def test_triangles_match_a_count_over_generator_pairs(self, caterpillar5):
         d = trees.decompose(caterpillar5)
-        assert d.arm_counts() == (4, 4, 3, 5, 3)
+        assert d == (4, 4, 3, 5, 3)
         p = presentation.assemble(d, 6)
         pairs = [(p.generators[i], p.generators[j]) for i, j in p.relations]
         neighbours = {g: set() for g in p.generators}

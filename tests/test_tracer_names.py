@@ -31,21 +31,37 @@ def test_traced_name_resolves(module, owner, attr):
     assert callable(getattr(target, attr, None))
 
 
-@pytest.mark.parametrize("command,generators,relations", [
-    ("present", 12, 1),      # level 4 alone
-    ("stabilize", 20, 1),    # levels 0..4: 0 + 0 + 2 + 6 + 12 generators
-])
-def test_traced_run_counts_presentations(tmp_path, htree, command, generators, relations):
-    tree = tmp_path / "htree.txt"
-    tree.write_text(f"endpoint {htree.endpoint}\n" + "".join(f"{u} {w}\n" for u, w in htree.edges))
+def traced_counts(tmp_path, tree, *argv):
+    """Run one command on tree through the benchmark's traced child and
+    return its counters."""
+    path = tmp_path / "tree.txt"
+    path.write_text(f"endpoint {tree.endpoint}\n" + "".join(f"{u} {w}\n" for u, w in tree.edges))
     proc = subprocess.run(
-        [sys.executable, str(CHILD), str(ROOT / "src"), "1", command,
-         "--tree", str(tree), "--n", "4"],
+        [sys.executable, str(CHILD), str(ROOT / "src"), "1", argv[0],
+         "--tree", str(path), *argv[1:]],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["rc"] == 0, result["stderr"]
-    counts = result["trace"]["counts"]
+    return result["trace"]["counts"]
+
+
+@pytest.mark.parametrize("command,generators,relations", [
+    ("present", 12, 1),      # level 4 alone
+    ("stabilize", 20, 1),    # levels 0..4: 0 + 0 + 2 + 6 + 12 generators
+])
+def test_traced_run_counts_presentations(tmp_path, htree, command, generators, relations):
+    counts = traced_counts(tmp_path, htree, command, "--n", "4")
     assert counts["presentation.generators"] == generators
     assert counts["presentation.relations"] == relations
+
+
+def test_traced_verify_counts_the_oracle(tmp_path, htree):
+    # the oracle hooks read CubeComplex.n/.tree/.cell_counts() and
+    # SparseIntMatrix.entry_count(); levels 2 and 3, cut into 1 and 2 pieces
+    counts = traced_counts(tmp_path, htree, "verify", "--n-min", "2", "--n-max", "3")
+    cells = [counts[f"cubes.cells_d{d}"] for d in range(4)]
+    assert cells == [180, 380, 242, 48]
+    assert counts["cubes.nonzeros"] == 1436
+    assert counts["homology.pivots"] == 420

@@ -143,64 +143,35 @@ class TestValidateLinear:
 
 class TestDecompose:
     def test_interval_is_empty(self, interval):
-        d = decompose(interval)
-        assert d.is_interval and d.stars == () and d.glue_points == ()
+        assert decompose(interval) == ()
 
-    def test_tripod_single_star(self, tripod):
-        d = decompose(tripod)
-        assert len(d.stars) == 1
-        star = d.stars[0]
-        assert star.k == 3
-        assert star.arm(1).endpoint == "x"      # toward the marked endpoint
-        assert star.arm(2).endpoint == "y"      # lowest-id other leaf
-        assert star.arm(3).endpoint == "z"
+    def test_tripod_single_star(self, tripod, star4):
+        assert decompose(tripod) == (3,)
+        assert decompose(star4) == (4,)
 
     def test_htree_two_stars(self, htree):
-        d = decompose(htree)
-        assert [s.k for s in d.stars] == [3, 3]
-        assert len(d.glue_points) == 1
-        q = d.glue_points[0]
-        # glue vertex was inserted on the hub-hub edge and ends both spine arms
-        assert d.stars[0].arm(2).endpoint == q
-        assert d.stars[1].arm(1).endpoint == q
-        assert set(d.stars[0].vertex_set() & d.stars[1].vertex_set()) == {q}
+        assert decompose(htree) == (3, 3)
 
-    def test_htree_stars_cover_tree(self, htree):
-        d = decompose(htree)
-        union = set()
-        for s in d.stars:
-            union |= s.edge_set()
-        assert union == set(d.tree.edges)
+    def test_caterpillar_chain(self, caterpillar3, caterpillar5):
+        assert decompose(caterpillar3) == (3, 3, 3)
+        assert decompose(caterpillar5) == (4, 4, 3, 5, 3)
 
-    def test_caterpillar_chain(self, caterpillar3):
-        d = decompose(caterpillar3)
-        assert [s.k for s in d.stars] == [3, 3, 3]
-        for i in range(len(d.stars) - 1):
-            q = d.glue_points[i]
-            assert d.stars[i].arm(2).endpoint == q
-            assert d.stars[i + 1].arm(1).endpoint == q
-            shared = d.stars[i].vertex_set() & d.stars[i + 1].vertex_set()
-            assert shared == {q}
+    def test_every_hub_in_exactly_one_star(self, caterpillar3, caterpillar5):
+        for tree in (caterpillar3, caterpillar5):
+            assert len(decompose(tree)) == len(tree.branch_vertices())
 
-    def test_every_hub_in_exactly_one_star(self, caterpillar3):
-        d = decompose(caterpillar3)
-        hubs = d.tree.branch_vertices()
-        owners = {h: [i for i, s in enumerate(d.stars) if s.node == h] for h in hubs}
-        assert all(len(v) == 1 for v in owners.values())
+    def test_arm_counts_equal_degrees(self, tripod, star4, htree, caterpillar3, caterpillar5):
+        for tree in (tripod, star4, htree, caterpillar3, caterpillar5):
+            hubs = [v for v in validate_linear(tree) if tree.degree(v) >= 3]
+            assert decompose(tree) == tuple(tree.degree(v) for v in hubs)
 
-    def test_arm_counts_equal_degrees(self, htree, caterpillar3, star4):
-        for tree in (htree, caterpillar3, star4):
-            d = decompose(tree)
-            for s in d.stars:
-                assert s.k == d.tree.degree(s.node)
-
-    def test_glue_without_insertion_when_hubs_far_apart(self):
+    def test_spine_order_not_id_order(self):
+        # hubs "z" (degree 4) then "a" (degree 3) from the endpoint: the
+        # counts follow the spine, not the sorted ids
         t = tree_from_edges(
-            [("p", "u"), ("a", "u"), ("u", "m"), ("m", "v"), ("v", "b"), ("v", "c")], "p"
+            [("p", "z"), ("z", "z1"), ("z", "z2"), ("z", "a"), ("a", "a1"), ("a", "a2")], "p"
         )
-        d = decompose(t)
-        assert d.glue_points == ("m",)
-        assert set(d.tree.vertices) == set(t.vertices)   # nothing inserted
+        assert decompose(t) == (4, 3)
 
     def test_spider_propagates_not_linear(self, spider):
         with pytest.raises(NotLinearError):
@@ -247,16 +218,3 @@ class TestSubdivide:
         assert fine.neighbors("p:u:1'") == ("p", "p:u:2")
         # names that collide with nothing are the plain "u:w:i"
         assert {"a:u:1", "a:u:2", "p:u:1:u:1", "p:u:1:u:2"} <= set(fine.vertices)
-
-
-class TestDecomposeReassemble:
-    def test_union_and_overlap_all_trees(self, tripod, htree, caterpillar3, star4):
-        for tree in (tripod, htree, caterpillar3, star4):
-            d = decompose(tree)
-            union = set()
-            for s in d.stars:
-                union |= s.edge_set()
-            assert union == set(d.tree.edges)
-            for i in range(len(d.stars) - 1):
-                shared = d.stars[i].vertex_set() & d.stars[i + 1].vertex_set()
-                assert len(shared) == 1
