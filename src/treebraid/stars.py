@@ -13,6 +13,8 @@ complex come in two kinds:
 Every edge of the complex joins a Type II vertex ``a`` to the Type I
 vertex obtained by sliding one strand from arm p onto the hub, so an edge
 is the pair (a, p) with a[p-1] >= 1.
+Vertices are enumerated flat, by stars and bars (``arm_vectors``), in lex
+order; Type II vertices are the vectors with at most k - 2 empty arms.
 
 Each non-base vertex has a canonical *successor* edge; the successor edges
 form a spanning tree of the complex, and the edges outside it are a free
@@ -24,7 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import comb
+from operator import sub
+from typing import NamedTuple
 
 
 class BaseVertexError(ValueError):
@@ -53,12 +58,11 @@ class TypeIIVertex:
     a: tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class StarEdge:
+class StarEdge(NamedTuple):
     """Edge of the star complex: Type II vertex ``a`` plus the sliding arm p.
 
     Its Type I endpoint is ``a`` with one strand moved from arm p onto the
-    hub.  p is 1-based and requires a[p-1] >= 1.
+    hub.  p is 1-based and requires a[p-1] >= 1; ordered and hashed as (a, p).
     """
 
     a: tuple[int, ...]
@@ -74,41 +78,33 @@ class StarEdge:
 
 
 def arm_vectors(total: int, k: int):
-    """All length-k tuples of nonnegative ints summing to total, lex order."""
+    """All length-k tuples of nonnegative ints summing to total, lex order:
+    stars and bars, the gaps between k - 1 nondecreasing cut points in
+    0..total, the cut points taken in lex order.  Nothing when total < 0."""
     if total < 0:
-        return
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in arm_vectors(total - first, k - 1):
-            yield (first, *rest)
+        return iter(())
+    cut_points = combinations_with_replacement(range(total + 1), k - 1)
+    return (tuple(map(sub, cuts + (total,), (0,) + cuts)) for cuts in cut_points)
+
+
+def _hub_free_vectors(k: int, n: int) -> list[tuple[int, ...]]:
+    """Arm vectors of the Type II vertices: at least two arms occupied."""
+    most_empty = k - 2
+    return [a for a in arm_vectors(n, k) if a.count(0) <= most_empty]
 
 
 def type1_vertices(k: int, n: int) -> list[TypeIVertex]:
-    if n == 0:
-        return []
     return [TypeIVertex(b) for b in arm_vectors(n - 1, k)]
 
 
 def type2_vertices(k: int, n: int) -> list[TypeIIVertex]:
     """All hub-free vertices: k nonnegative counts summing to n, >= 2 occupied."""
-    out = []
-    for a in arm_vectors(n, k):
-        occupied = sum(1 for x in a if x > 0)
-        if occupied >= 2:
-            out.append(TypeIIVertex(a))
-    return out
+    return [TypeIIVertex(a) for a in _hub_free_vectors(k, n)]
 
 
 def star_edges(k: int, n: int) -> list[StarEdge]:
     """Every edge of the complex, ordered by (a, p)."""
-    return [
-        StarEdge(v.a, p)
-        for v in type2_vertices(k, n)
-        for p in range(1, k + 1)
-        if v.a[p - 1] >= 1
-    ]
+    return [StarEdge(a, p) for a in _hub_free_vectors(k, n) for p, x in enumerate(a, 1) if x]
 
 
 def base_vertex(k: int, n: int) -> TypeIVertex:
@@ -160,6 +156,8 @@ def basis(k: int, n: int) -> frozenset[StarEdge]:
     Cached: assembling presentations sweeps the same (k, n) levels over and
     over, and every level embeds in the next.
     """
+    if k < 2 or n < 0:
+        raise ValueError(f"a star needs k >= 2 arms and n >= 0 strands, got k={k}, n={n}")
     return frozenset(e for e in star_edges(k, n) if not is_tree_edge(e))
 
 
@@ -185,7 +183,7 @@ def rank_from_euler(k: int, n: int) -> int:
     if n == 0:
         return 0
     type1 = sum(1 for _ in arm_vectors(n - 1, k))
-    occupied = (sum(1 for x in a if x) for a in arm_vectors(n, k))
+    occupied = (k - a.count(0) for a in arm_vectors(n, k))
     type2 = [arms for arms in occupied if arms >= 2]     # occupied arms = edges
     return 1 - (type1 + len(type2) - sum(type2))
 
@@ -195,7 +193,8 @@ def rank(k: int, n: int) -> int:
 
     Computed as the enumerated basis size and cross-checked against the
     Euler characteristic and the closed form; a disagreement means the
-    implementation is broken and raises RankMismatchError.
+    implementation is broken and raises RankMismatchError.  Raises
+    ValueError, through ``basis``, unless k >= 2 and n >= 0.
     """
     enumerated = len(basis(k, n))
     euler = rank_from_euler(k, n)

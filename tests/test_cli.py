@@ -277,6 +277,7 @@ class TestPinnedOutput:
     }
     STABILIZE = "742bed62e77c82bf4e3ddb6d03493b1ac8f15ef4fe4f9b2b04d1c25cebc371f2"
     PRESENT_VERIFY = "6a242e225d00ee961e111339dadec60f496e726d7857cd2051ee17dcad1f93b3"
+    TABLE = "2b07bb1c7fc14defc0e8070921a2e0d226f0fbce0ee04994d862aa65925030d5"
 
     def test_present_dot_files_caterpillar5(self, tree_file, caterpillar5, tmp_path):
         out = tmp_path / "out"
@@ -295,6 +296,11 @@ class TestPinnedOutput:
         argv = ["present", "--tree", tree_file(HTREE), "--n-min", "0", "--n-max", "4", "--verify"]
         assert cli.main(argv) == 0
         assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.PRESENT_VERIFY
+
+    def test_star_table(self, capsys):
+        argv = ["table", "--k-min", "2", "--k-max", "8", "--n-min", "0", "--n-max", "9"]
+        assert cli.main(argv) == 0
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.TABLE
 
 
 class TestTable:

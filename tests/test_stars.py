@@ -12,6 +12,7 @@ from treebraid.stars import (
     TypeIVertex,
     TypeIIVertex,
     add_strand,
+    arm_vectors,
     base_vertex,
     basis,
     capacity,
@@ -36,6 +37,15 @@ def brute_vectors(total, k):
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_arm_vectors_in_lex_order(self, k):
+        for total in range(-1, 8):
+            assert list(arm_vectors(total, k)) == brute_vectors(total, k), total
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_star_edges_in_edge_order(self, k, n):
+        assert star_edges(k, n) == sorted(star_edges(k, n))
+
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_type2_against_brute_force(self, k, n):
         expect = [
@@ -68,6 +78,28 @@ class TestEnumeration:
             assert e.type2() in type2
             assert e.type1() in type1
             assert sum(e.type1().b) == n - 1
+
+
+class TestStarEdge:
+    def test_repr(self):
+        # NaturalityError messages embed it through Generator's repr
+        assert repr(StarEdge((0, 1, 1), 2)) == "StarEdge(a=(0, 1, 1), p=2)"
+
+    def test_hash_and_order_are_the_pair(self):
+        e = StarEdge((0, 1, 1), 2)
+        assert hash(e) == hash((e.a, e.p))
+        edges = [StarEdge((1, 0, 1), 1), StarEdge((0, 1, 1), 3), StarEdge((0, 1, 1), 2)]
+        assert [(e.a, e.p) for e in sorted(edges)] == sorted((e.a, e.p) for e in edges)
+
+    def test_immutable(self):
+        e = StarEdge((0, 1, 1), 2)
+        with pytest.raises(AttributeError):
+            e.p = 3
+
+    def test_never_equals_a_vertex(self):
+        a = (0, 1, 1)
+        assert StarEdge(a, 2) != TypeIIVertex(a)
+        assert TypeIIVertex(a) != TypeIVertex(a)
 
 
 class TestSuccessor:
@@ -221,6 +253,13 @@ class TestRank:
         assert rank_from_euler(3, 4) == rank_closed_form(3, 4)
         with pytest.raises(RankMismatchError):
             rank(3, 4)
+
+    @pytest.mark.parametrize("k,n", [(0, 3), (1, 3), (-1, 2), (3, -1), (2, -5)])
+    @pytest.mark.parametrize("fn", [rank, basis])
+    def test_not_a_star_is_bad_input(self, fn, k, n):
+        # neither a RecursionError nor a RankMismatchError
+        with pytest.raises(ValueError, match=rf"k={k}, n={n}\b"):
+            fn(k, n)
 
     def test_degenerate_rows(self):
         assert all(rank(k, 0) == 0 for k in range(2, 6))

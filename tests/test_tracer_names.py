@@ -31,14 +31,17 @@ def test_traced_name_resolves(module, owner, attr):
     assert callable(getattr(target, attr, None))
 
 
-def traced_counts(tmp_path, tree, *argv):
-    """Run one command on tree through the benchmark's traced child and
-    return its counters."""
-    path = tmp_path / "tree.txt"
-    path.write_text(f"endpoint {tree.endpoint}\n" + "".join(f"{u} {w}\n" for u, w in tree.edges))
+def traced_counts(tmp_path, *argv, tree=None):
+    """Run one command, on tree if given, through the benchmark's traced
+    child and return its counters."""
+    if tree is not None:
+        path = tmp_path / "tree.txt"
+        path.write_text(
+            f"endpoint {tree.endpoint}\n" + "".join(f"{u} {w}\n" for u, w in tree.edges)
+        )
+        argv = (argv[0], "--tree", str(path), *argv[1:])
     proc = subprocess.run(
-        [sys.executable, str(CHILD), str(ROOT / "src"), "1", argv[0],
-         "--tree", str(path), *argv[1:]],
+        [sys.executable, str(CHILD), str(ROOT / "src"), "1", *argv],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -52,7 +55,7 @@ def traced_counts(tmp_path, tree, *argv):
     ("stabilize", 20, 1),    # levels 0..4: 0 + 0 + 2 + 6 + 12 generators
 ])
 def test_traced_run_counts_presentations(tmp_path, htree, command, generators, relations):
-    counts = traced_counts(tmp_path, htree, command, "--n", "4")
+    counts = traced_counts(tmp_path, command, "--n", "4", tree=htree)
     assert counts["presentation.generators"] == generators
     assert counts["presentation.relations"] == relations
 
@@ -60,8 +63,18 @@ def test_traced_run_counts_presentations(tmp_path, htree, command, generators, r
 def test_traced_verify_counts_the_oracle(tmp_path, htree):
     # the oracle hooks read CubeComplex.n/.tree/.cell_counts() and
     # SparseIntMatrix.entry_count(); levels 2 and 3, cut into 1 and 2 pieces
-    counts = traced_counts(tmp_path, htree, "verify", "--n-min", "2", "--n-max", "3")
+    counts = traced_counts(tmp_path, "verify", "--n-min", "2", "--n-max", "3", tree=htree)
     cells = [counts[f"cubes.cells_d{d}"] for d in range(4)]
     assert cells == [180, 380, 242, 48]
     assert counts["cubes.nonzeros"] == 1436
     assert counts["homology.pivots"] == 420
+
+
+def test_traced_table_counts_the_star_edges(tmp_path):
+    # one star_edges call per (k, n) level, each through basis, for k=2..8
+    # and n=0..9; the edge total is the sum of the occupied-arm counts
+    counts = traced_counts(tmp_path, "table", "--k-max", "8", "--n-max", "9")
+    assert counts["stars.star_edges_calls"] == 70
+    assert counts["stars.star_edges_levels"] == 70
+    assert counts["stars.basis_calls"] == 70
+    assert counts["stars.star_edges"] == 174708
