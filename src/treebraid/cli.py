@@ -60,6 +60,13 @@ def _strand_range(args) -> list[int]:
     return list(range(args.n_min, args.n_max + 1))
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -82,7 +89,7 @@ def cmd_present(args) -> int:
         else:
             sys.stdout.write(presentation.export(pres, args.format))
         if args.verify:
-            levels.append((n, cubes.raag_clique_counts(pres, 3)))
+            levels.append((n, cubes.raag_clique_counts(pres)))
     return _check_levels(tree, levels, args) if args.verify else EXIT_OK
 
 
@@ -105,7 +112,7 @@ def _oracle_report(tree, n, d_max, subdivision, cell_cap):
 def _clique_levels(arm_counts, args):
     # a generator, so a bad range is reported after the header, as before
     for n in _strand_range(args):
-        yield n, cubes.raag_clique_counts(presentation.assemble(arm_counts, n), 3)
+        yield n, cubes.raag_clique_counts(presentation.assemble(arm_counts, n))
 
 
 def cmd_verify(args) -> int:
@@ -205,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--subdivision", type=int, default=None,
                         help="pieces per edge (default and minimum max(1, n-1),"
                              " enough on a tree by Prue-Scrimshaw)")
-        sp.add_argument("--cell-cap", type=int, default=cubes.DEFAULT_CELL_CAP)
+        sp.add_argument("--cell-cap", type=positive_int, default=cubes.DEFAULT_CELL_CAP)
 
     p = sub.add_parser("present", help="write commutator presentations")
     _add_tree_and_range(p)

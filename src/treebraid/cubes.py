@@ -228,18 +228,26 @@ def boundary_matrix(cx: CubeComplex, d: int, skip=frozenset()) -> BoundaryMatrix
 
 
 def check_boundary_squares_to_zero(cx: CubeComplex) -> None:
-    """Assert boundary-of-boundary == 0 exactly, in every dimension."""
-    for d in range(2, cx.d_max + 1):
-        if not cx.cells[d]:
-            continue
-        for cell in cx.cells[d]:
-            acc: dict[Cell, int] = {}
-            for face, sign in cell_faces(cell):
-                for sub, sub_sign in cell_faces(face):
+    """Assert boundary_d * boundary_{d+1} == 0 exactly, in every dimension.
+
+    The products are taken over the integer columns of ``boundary_matrix``,
+    the matrices ``betti`` reduces, row indices included.  From the top
+    down, each column of boundary_{d+1} is summed through the columns of
+    boundary_d, which are then carried up for the next step, so every
+    cell's faces are computed once.
+    """
+    above = ()
+    for d in range(cx.d_max, 0, -1):
+        columns = boundary_matrix(cx, d).columns
+        for j, column in enumerate(above):
+            acc: dict[int, int] = {}
+            for row, sign in column:
+                for sub, sub_sign in columns[row]:
                     acc[sub] = acc.get(sub, 0) + sign * sub_sign
-            bad = {k: v for k, v in acc.items() if v}
+            bad = {cx.cells[d - 1][k]: v for k, v in acc.items() if v}
             if bad:
-                raise BoundarySquareError(f"boundary^2 != 0 on {cell}: {bad}")
+                raise BoundarySquareError(f"boundary^2 != 0 on {cx.cells[d + 1][j]}: {bad}")
+        above = columns
 
 
 def betti(cx: CubeComplex) -> HomologyReport:
@@ -370,17 +378,14 @@ def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
     return Pi1Presentation(generator_count=len(gen_index), relators=tuple(relators))
 
 
-def raag_clique_counts(pres: Presentation, max_size: int = 3) -> tuple[int, ...]:
-    """(vertices, edges, triangles)[:max_size] of the defining graph; these
-    are the expected Betti numbers b_1, b_2, b_3 of the group the
-    presentation defines.  With later[i] the neighbours j > i of generator
-    index i, each triangle i < j < l is one l in later[i] & later[j].
+def raag_clique_counts(pres: Presentation) -> tuple[int, int, int]:
+    """(vertices, edges, triangles) of the defining graph; these are the
+    expected Betti numbers b_1, b_2, b_3 of the group the presentation
+    defines.  With later[i] the neighbours j > i of generator index i, each
+    triangle i < j < l is one l in later[i] & later[j].
     """
-    if not 1 <= max_size <= 3:
-        raise ValueError(f"max_size must be 1..3, got {max_size}")
     later: list[set[int]] = [set() for _ in pres.generators]
     for i, j in pres.relations:
         later[i].add(j)
     triangles = sum(len(later[i] & later[j]) for i, js in enumerate(later) for j in js)
-    return (len(pres.generators), len(pres.relations), triangles)[:max_size]
-
+    return (len(pres.generators), len(pres.relations), triangles)

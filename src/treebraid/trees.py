@@ -74,7 +74,8 @@ class Tree:
 
 def make_tree(vertices, edges, endpoint: str) -> Tree:
     """Validate and normalize raw vertex/edge data into a Tree."""
-    vs = tuple(sorted(set(vertices)))
+    known = set(vertices)
+    vs = tuple(sorted(known))
     if len(vs) < 2:
         raise InvalidTreeError("a tree needs at least two vertices")
     seen = set()
@@ -82,40 +83,29 @@ def make_tree(vertices, edges, endpoint: str) -> Tree:
     for u, w in edges:
         if u == w:
             raise ParseError(f"self-loop at vertex {u!r}")
-        if u not in vs or w not in vs:
-            missing = u if u not in vs else w
+        if u not in known or w not in known:
+            missing = u if u not in known else w
             raise ParseError(f"edge ({u!r}, {w!r}) references unknown vertex {missing!r}")
         e = (u, w) if u < w else (w, u)
         if e in seen:
             raise ParseError(f"duplicate edge ({e[0]!r}, {e[1]!r})")
         seen.add(e)
         norm.append(e)
-    if endpoint not in vs:
+    if endpoint not in known:
         raise InvalidTreeError(f"marked vertex {endpoint!r} is not in the tree")
     if len(norm) != len(vs) - 1:
         raise InvalidTreeError(
             f"not a tree: {len(vs)} vertices need {len(vs) - 1} edges, got {len(norm)}"
         )
+    tree = Tree(vs, tuple(sorted(norm)), endpoint)
     # connected + |E| = |V| - 1  =>  acyclic
-    adj: dict[str, list[str]] = {v: [] for v in vs}
-    for u, w in norm:
-        adj[u].append(w)
-        adj[w].append(u)
-    reached = {vs[0]}
-    queue = deque([vs[0]])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    if len(reached) != len(vs):
+    if len(_bfs_parents(tree, vs[0])) != len(vs):
         raise InvalidTreeError("not a tree: graph is disconnected")
-    if len(adj[endpoint]) != 1:
+    if tree.degree(endpoint) != 1:
         raise InvalidTreeError(
-            f"marked vertex {endpoint!r} is not an endpoint (degree {len(adj[endpoint])})"
+            f"marked vertex {endpoint!r} is not an endpoint (degree {tree.degree(endpoint)})"
         )
-    return Tree(vs, tuple(sorted(norm)), endpoint)
+    return tree
 
 
 def _coerce_id(value, where: str) -> str:
@@ -201,22 +191,18 @@ def _walk_path(tree: Tree, start: str, first_step: str) -> list[str]:
     return path
 
 
-def _path_between(tree: Tree, a: str, b: str) -> list[str]:
-    parent = {a: None}
-    queue = deque([a])
+def _bfs_parents(tree: Tree, root: str) -> dict[str, str | None]:
+    """Breadth-first parent of each vertex reachable from root (the root's
+    is None), keyed in visiting order."""
+    parent = {root: None}
+    queue = deque([root])
     while queue:
         x = queue.popleft()
-        if x == b:
-            break
         for y in tree.neighbors(x):
             if y not in parent:
                 parent[y] = x
                 queue.append(y)
-    path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return parent
 
 
 def validate_linear(tree: Tree) -> tuple[str, ...]:
@@ -235,16 +221,15 @@ def validate_linear(tree: Tree) -> tuple[str, ...]:
         # max degree <= 2: the tree is a path and p is one of its two ends
         return tuple(_walk_path(tree, p, tree.neighbors(p)[0]))
 
-    dist = {p: 0}
-    queue = deque([p])
-    while queue:
-        x = queue.popleft()
-        for y in tree.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+    parent = _bfs_parents(tree, p)
+    dist: dict[str, int] = {}
+    for v, up in parent.items():       # parents come before their children
+        dist[v] = 0 if up is None else dist[up] + 1
     far = max(nodes, key=lambda v: (dist[v], v))
-    trunk = _path_between(tree, p, far)
+    trunk = [far]
+    while parent[trunk[-1]] is not None:
+        trunk.append(parent[trunk[-1]])
+    trunk.reverse()
     missed = sorted(nodes - set(trunk))
     if missed:
         raise NotLinearError(

@@ -191,6 +191,14 @@ class TestVerify:
         # the largest layer at 3 pieces per edge is the 2-cells
         assert "5874" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_cell_cap_below_one_is_a_usage_error(self, tree_file, capsys, cap):
+        code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", cap])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: argument --cell-cap: must be >= 1, got {cap}" in err
+        assert "above the cap" not in err
+
     def test_mismatch_exits_3(self, tree_file, capsys, monkeypatch):
         real = cubes.betti
 

@@ -106,6 +106,36 @@ class TestBoundary:
             cx = build_complex(fine, n, d_max=3)
             check_boundary_squares_to_zero(cx)
 
+    def test_check_reads_the_boundary_matrices(self, htree, monkeypatch):
+        # one entry of one boundary_2 column points at the wrong row
+        cx = build_complex(trees.subdivide_edges(htree, 2), 3, d_max=3)
+        real = cubes.boundary_matrix
+
+        def misindexed(cx, d, skip=frozenset()):
+            m = real(cx, d, skip)
+            if d != 2:
+                return m
+            (row, sign), *rest = m.columns[0]
+            first = (((row + 1) % m.nrows, sign), *rest)
+            return cubes.BoundaryMatrix(m.nrows, (first, *m.columns[1:]))
+
+        monkeypatch.setattr(cubes, "boundary_matrix", misindexed)
+        with pytest.raises(cubes.BoundarySquareError, match=r"boundary\^2 != 0 on "):
+            check_boundary_squares_to_zero(cx)
+
+    def test_check_takes_one_face_pass_per_cell(self, htree, monkeypatch):
+        cx = build_complex(trees.subdivide_edges(htree, 2), 3, d_max=3)
+        calls = []
+        real = cubes.cell_faces
+
+        def counting(cell):
+            calls.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(cubes, "cell_faces", counting)
+        check_boundary_squares_to_zero(cx)
+        assert len(calls) == sum(cx.cell_counts()[1:]) == 360 + 238 + 48
+
     def test_column_signs_sum_to_zero_in_dim1(self):
         cx = build_complex(path_tree(3), 2, d_max=2)
         m = boundary_matrix(cx, 1)
@@ -263,17 +293,17 @@ class TestCliqueCounts:
     def test_htree_n4(self, htree):
         d = trees.decompose(htree)
         p = presentation.assemble(d, 4)
-        assert raag_clique_counts(p, 3) == (12, 1, 0)
+        assert raag_clique_counts(p) == (12, 1, 0)
 
     def test_tripod_n3(self, tripod):
         d = trees.decompose(tripod)
         p = presentation.assemble(d, 3)
-        assert raag_clique_counts(p, 3) == (3, 0, 0)
+        assert raag_clique_counts(p) == (3, 0, 0)
 
     def test_interval(self, interval):
         d = trees.decompose(interval)
         p = presentation.assemble(d, 4)
-        assert raag_clique_counts(p, 3) == (0, 0, 0)
+        assert raag_clique_counts(p) == (0, 0, 0)
 
     def test_triangle_count_on_forged_graph(self):
         # three pairwise-commuting generators -> one triangle
@@ -282,7 +312,7 @@ class TestCliqueCounts:
 
         gens = tuple(Generator(i, StarEdge((0, 1, 1), 2)) for i in (1, 2, 3))
         p = Presentation(n=2, generators=gens, relations=((0, 1), (0, 2), (1, 2)))
-        assert raag_clique_counts(p, 3) == (3, 3, 1)
+        assert raag_clique_counts(p) == (3, 3, 1)
 
     def test_triangles_match_a_count_over_generator_pairs(self, caterpillar5):
         d = trees.decompose(caterpillar5)
@@ -296,12 +326,5 @@ class TestCliqueCounts:
         # every triangle has three edges, each seeing its third vertex once
         seen = sum(len(neighbours[g] & neighbours[h]) for g, h in pairs)
         assert seen % 3 == 0
-        assert raag_clique_counts(p, 3) == (495, 1758, seen // 3) == (495, 1758, 156)
-
-    def test_max_size_validated(self, tripod):
-        d = trees.decompose(tripod)
-        p = presentation.assemble(d, 2)
-        with pytest.raises(ValueError):
-            raag_clique_counts(p, 4)
-        assert raag_clique_counts(p, 1) == (1,)
+        assert raag_clique_counts(p) == (495, 1758, seen // 3) == (495, 1758, 156)
 
