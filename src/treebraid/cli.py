@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 I/O or parse problems (also bad usage), 2 tree not
 linear from the marked endpoint, 3 verification, embedding or internal
-consistency failure, 4 resource cap refusal.
+consistency failure, 4 resource cap refusal or out of memory.
 """
 from __future__ import annotations
 
@@ -267,6 +267,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except cubes.ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCES
+    except MemoryError:
+        print("error: out of memory; try fewer strands", file=sys.stderr)
         return EXIT_RESOURCES
 
 

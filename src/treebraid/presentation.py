@@ -11,7 +11,8 @@ that arrives from its left endpoint.  The result is exactly the data of a
 defining graph: vertices = generators, edges = commuting pairs, and a
 ``Presentation`` stores it as that graph: the generators sorted by
 (star, a, p), and each commuting pair as an index pair i < j into them,
-the pairs sorted.  The JSON and DOT exports write these fields as they are.
+the pairs sorted.  The JSON and DOT exports write these fields as they are,
+each through a fixed template.
 
 ``assemble`` realizes that sweep literally, by iterating strand-addition
 maps; ``commutation_predicate`` is the equivalent closed form in terms of
@@ -20,7 +21,6 @@ against each other.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .stars import StarEdge, add_strand, basis, capacity
@@ -175,19 +175,27 @@ def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
     return StabilizationMap(source=source, target=target, mapping=mapping)
 
 
-def to_json_dict(pres: Presentation) -> dict:
-    return {
-        "n": pres.n,
-        "generators": [
-            {"star": g.star, "a": list(g.edge.a), "p": g.edge.p}
-            for g in pres.generators
-        ],
-        "relations": [list(pair) for pair in pres.relations],
-    }
+def _array(items: list[str], indent: str) -> str:
+    """A JSON list of already-written items, laid out as json.dumps(indent=2)
+    lays out a list that opens ``indent`` deep."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
 def to_json(pres: Presentation) -> str:
-    return json.dumps(to_json_dict(pres), indent=2, sort_keys=False) + "\n"
+    """Byte for byte ``json.dumps(..., indent=2) + "\n"`` of the three fields,
+    from a fixed template: every field is an int or a list of ints."""
+    generators = [
+        f'{{\n      "star": {g.star},\n'
+        f'      "a": {_array(list(map(str, g.edge.a)), "      ")},\n'
+        f'      "p": {g.edge.p}\n    }}'
+        for g in pres.generators
+    ]
+    relations = [f"[\n      {i},\n      {j}\n    ]" for i, j in pres.relations]
+    head = f'{{\n  "n": {pres.n},\n  "generators": {_array(generators, "  ")},\n'
+    return head + f'  "relations": {_array(relations, "  ")}\n}}\n'
 
 
 def to_dot(pres: Presentation) -> str:

@@ -138,7 +138,10 @@ def successor(vertex: TypeIVertex | TypeIIVertex) -> StarEdge:
 
 
 def is_tree_edge(edge: StarEdge) -> bool:
-    return edge.p == 1 or edge.p == last_occupied_arm(edge.a)
+    """Whether edge is a successor edge: p is 1 or the last occupied arm.
+    With a[p-1] >= 1, which every StarEdge has, p is the last occupied arm
+    exactly when no strand sits on a later arm."""
+    return edge.p == 1 or not any(edge.a[edge.p:])
 
 
 @lru_cache(maxsize=None)

@@ -407,6 +407,15 @@ class TestInternalErrors:
         assert code == 3
         assert "error: shifted generator" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_4(self, tree_file, capsys, monkeypatch):
+        def exhausted(arm_counts, n):
+            raise MemoryError
+
+        monkeypatch.setattr(presentation, "assemble", exhausted)
+        code = cli.main(["present", "--tree", tree_file(HTREE), "--n", "4"])
+        assert code == 4
+        assert "error: out of memory" in capsys.readouterr().err
+
 
 class TestInputFuzz:
     """Seeded random damage to both input formats must land on exit 0, 1

@@ -28,7 +28,7 @@ def imports(path):
 
 
 def test_every_source_is_seen():
-    assert {p.stem for p in SOURCES} >= {"cli", "cubes", "homology", "stars", "trees"}
+    assert {p.stem for p in SOURCES} >= {"cli", "cubes", "homology", "presentation", "stars", "trees"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from treebraid.presentation import (
     to_json,
 )
 from treebraid.stars import StarEdge
+from test_random_trees import random_caterpillar
 
 
 def decompositions(*fixtures):
@@ -215,6 +217,31 @@ class TestExport:
         hi = data["generators"][11]
         assert (lo["star"], tuple(lo["a"]), lo["p"]) == (1, (0, 3, 1), 2)
         assert (hi["star"], tuple(hi["a"]), hi["p"]) == (2, (2, 1, 1), 2)
+
+    def test_json_bytes_match_json_dumps(self, interval, tripod, star4, htree,
+                                         caterpillar3, caterpillar5):
+        # the template must give json.dumps(indent=2)'s bytes, empty lists
+        # (the interval, n = 0, no relations) included
+        rng = random.Random(20240)
+        arm_counts = decompositions(interval, tripod, star4, htree, caterpillar3, caterpillar5)
+        arm_counts += [trees.decompose(random_caterpillar(rng)) for _ in range(25)]
+        presentations = [assemble(d, n) for d in arm_counts for n in range(7)]
+        presentations.append(Presentation(3, (
+            Generator(1, StarEdge((0, 2, 1), 2)),
+            Generator(2, StarEdge((1, 1, 1), 2)),
+        ), ()))
+        for p in presentations:
+            fields = {
+                "n": p.n,
+                "generators": [{"star": g.star, "a": list(g.edge.a), "p": g.edge.p}
+                               for g in p.generators],
+                "relations": [[i, j] for i, j in p.relations],
+            }
+            text = to_json(p)
+            assert text == json.dumps(fields, indent=2) + "\n"
+            assert json.loads(text) == fields
+        assert any(not p.generators for p in presentations)
+        assert any(p.generators and not p.relations for p in presentations)
 
     def test_dot_htree_n4(self, htree):
         d = trees.decompose(htree)

@@ -78,3 +78,12 @@ def test_traced_table_counts_the_star_edges(tmp_path):
     assert counts["stars.star_edges_levels"] == 70
     assert counts["stars.basis_calls"] == 70
     assert counts["stars.star_edges"] == 174708
+
+
+def test_traced_present_counts_the_exported_bytes(tmp_path, caterpillar5):
+    # the present_caterpillar command: to_json and to_dot stay traced by name
+    counts = traced_counts(
+        tmp_path, "present", "--n-min", "0", "--n-max", "8", "--format", "dot",
+        "--out", str(tmp_path / "out"), tree=caterpillar5,
+    )
+    assert counts["presentation.export_bytes"] == 1481172
