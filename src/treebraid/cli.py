@@ -93,22 +93,6 @@ def cmd_present(args) -> int:
     return _check_levels(tree, levels, args) if args.verify else EXIT_OK
 
 
-def _oracle_report(tree, n, d_max, subdivision, cell_cap):
-    """Homology of the n-strand cube complex of tree, every edge cut into
-    max(1, n - 1) pieces unless subdivision asks for more (Prue-Scrimshaw).
-    """
-    floor = max(1, n - 1)
-    parts = subdivision if subdivision is not None else floor
-    if parts < floor:
-        raise ValueError(
-            f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
-        )
-    fine = trees.subdivide_edges(tree, parts)
-    cx = cubes.build_complex(fine, n, d_max=d_max, cell_cap=cell_cap)
-    cubes.check_boundary_squares_to_zero(cx)
-    return cubes.betti(cx)
-
-
 def _clique_levels(arm_counts, args):
     # a generator, so a bad range is reported after the header, as before
     for n in _strand_range(args):
@@ -131,13 +115,9 @@ def _check_levels(tree, levels, args) -> int:
     print(header)
     failed = False
     for n, expect in levels:
-        if n == 0:
-            betti = (1, 0, 0)[: args.dmax]
-            torsion = [[] for _ in range(args.dmax)]
-        else:
-            report = _oracle_report(tree, n, args.dmax, args.subdivision, args.cell_cap)
-            betti = report.betti
-            torsion = [list(t) for t in report.torsion]
+        report = cubes.oracle_report(tree, n, args.dmax, args.subdivision, args.cell_cap)
+        betti = report.betti
+        torsion = [list(t) for t in report.torsion]
         ok = betti[0] == 1 and betti[1] == expect[0] and not any(torsion)
         if args.dmax >= 3:
             ok = ok and betti[2] == expect[1]
@@ -172,10 +152,11 @@ def cmd_table(args) -> int:
         raise ValueError("need 0 <= --n-min <= --n-max")
     ks = list(range(args.k_min, args.k_max + 1))
     ns = list(range(args.n_min, args.n_max + 1))
+    # every rank first, so a failure inside stars.rank prints no partial table
+    rows = [f"k={k:<2} " + " ".join(f"{stars.rank(k, n):>6}" for n in ns) for k in ks]
     print("free rank of the n-strand group of a k-arm star")
     print("k\\n " + " ".join(f"{n:>6}" for n in ns))
-    for k in ks:
-        print(f"k={k:<2} " + " ".join(f"{stars.rank(k, n):>6}" for n in ns))
+    print("\n".join(rows))
     print(
         "note: each entry is the enumerated basis size, checked against the"
         " Euler characteristic\nand against 1 + (k-1)*C(n+k-2,k-1) -"
@@ -209,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_oracle_flags(sp):
         sp.add_argument("--dmax", type=int, choices=(2, 3), default=3)
-        sp.add_argument("--subdivision", type=int, default=None,
+        sp.add_argument("--subdivision", type=positive_int, default=None,
                         help="pieces per edge (default and minimum max(1, n-1),"
                              " enough on a tree by Prue-Scrimshaw)")
         sp.add_argument("--cell-cap", type=positive_int, default=cubes.DEFAULT_CELL_CAP)

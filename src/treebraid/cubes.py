@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .homology import SparseIntMatrix, rank_and_factors
-from .presentation import Presentation
-from .trees import Tree
+from .homology import SparseIntMatrix, chain_homology, rank_and_factors
+from .trees import Tree, bfs_parents, subdivide_edges
 
 DEFAULT_CELL_CAP = 5_000_000
 
@@ -116,16 +115,10 @@ def matching_counts(tree: Tree, top: int) -> list[int]:
 
     unit = [1] + [0] * top
     root = tree.vertices[0]
-    parent = {root: None}
-    order = [root]
-    for v in order:                # breadth-first; order grows as it is read
-        for w in tree.neighbors(v):
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    parent = bfs_parents(tree, root)
     unmatched: dict[str, list[int]] = {}
     total: dict[str, list[int]] = {}
-    for v in reversed(order):
+    for v in reversed(parent):     # children before their parents
         free, matched = unit, [0] * (top + 1)
         for c in tree.neighbors(v):
             if c == parent[v]:
@@ -159,7 +152,7 @@ def build_complex(
 
     The tree must already be subdivided finely enough for n (every edge in
     at least max(1, n - 1) pieces, after Prue and Scrimshaw); this is the
-    caller's contract, enforced at the command-line layer.  Refuses to
+    caller's contract, which ``oracle_report`` enforces.  Refuses to
     start if any layer would hold more than cell_cap cells; the layer
     sizes are counted exactly beforehand by ``layer_sizes``.
     """
@@ -251,43 +244,33 @@ def check_boundary_squares_to_zero(cx: CubeComplex) -> None:
 
 
 def betti(cx: CubeComplex) -> HomologyReport:
-    """Exact Betti numbers b_0..b_{d_max-1} and the torsion of each H_d.
-
-    b_d = #cells_d - rank(boundary_d) - rank(boundary_{d+1}); ranks are
-    over the rationals but computed by integer elimination, so the same
-    pass yields the invariant factors.
-
-    The boundaries are reduced from the top down with clearing (Chen and
-    Kerber, Persistent homology computation with a twist, 2011): a d-cell
-    that was a unit pivot row of boundary_{d+1} has its column left out of
-    boundary_d.  The pivot minor A of boundary_{d+1} is unimodular, and
-    boundary_d * boundary_{d+1} = 0 makes the cleared columns equal to
-    -(remaining columns) * boundary_{d+1}[rest, pivots] * A^-1, an integer
-    combination of the columns kept; rank and invariant factors survive.
+    """Exact Betti numbers b_0..b_{d_max-1} and the torsion of each H_d,
+    reduced by ``homology.chain_homology`` with clearing.
     """
-    ranks = [0] * cx.d_max
-    torsion: list[tuple[int, ...]] = [()] * cx.d_max
-    cleared: set[int] = set()
-    for d in range(cx.d_max, 0, -1):
-        if not cx.cells[d]:
-            continue
-        sparse = boundary_matrix(cx, d, skip=cleared).to_sparse()
-        r, factors = rank_and_factors(sparse)
-        ranks[d - 1] = r
-        torsion[d - 1] = tuple(factors)
-        cleared = set(sparse.pivot_rows)
     counts = cx.cell_counts()
-    # ranks[d] is the rank of boundary_{d+1}, and torsion[d], the torsion of
-    # boundary_{d+1}, is that of H_d
-    bettis = tuple(
-        counts[d] - (ranks[d - 1] if d else 0) - ranks[d] for d in range(cx.d_max)
-    )
-    return HomologyReport(
-        cell_counts=tuple(counts),
-        boundary_ranks=tuple(ranks),
-        betti=bettis,
-        torsion=tuple(torsion),
-    )
+    return HomologyReport(tuple(counts), *chain_homology(
+        counts, lambda d, skip: boundary_matrix(cx, d, skip).to_sparse()
+    ))
+
+
+def oracle_report(
+    tree: Tree, n: int, d_max: int = 3, parts: int | None = None,
+    cell_cap: int = DEFAULT_CELL_CAP,
+) -> HomologyReport:
+    """Homology of the n-strand cube complex of tree, every edge cut into
+    max(1, n - 1) pieces unless parts asks for more (Prue-Scrimshaw), read
+    only after the boundary of every boundary is checked to be zero.
+    """
+    floor = max(1, n - 1)
+    if parts is None:
+        parts = floor
+    if parts < floor:
+        raise ValueError(
+            f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
+        )
+    cx = build_complex(subdivide_edges(tree, parts), n, d_max=d_max, cell_cap=cell_cap)
+    check_boundary_squares_to_zero(cx)
+    return betti(cx)
 
 
 @dataclass(frozen=True)
@@ -378,11 +361,12 @@ def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
     return Pi1Presentation(generator_count=len(gen_index), relators=tuple(relators))
 
 
-def raag_clique_counts(pres: Presentation) -> tuple[int, int, int]:
-    """(vertices, edges, triangles) of the defining graph; these are the
-    expected Betti numbers b_1, b_2, b_3 of the group the presentation
-    defines.  With later[i] the neighbours j > i of generator index i, each
-    triangle i < j < l is one l in later[i] & later[j].
+def raag_clique_counts(pres) -> tuple[int, int, int]:
+    """(vertices, edges, triangles) of the defining graph of a
+    ``presentation.Presentation``; these are the expected Betti numbers b_1,
+    b_2, b_3 of the group the presentation defines.  With later[i] the
+    neighbours j > i of generator index i, each triangle i < j < l is one l
+    in later[i] & later[j].
     """
     later: list[set[int]] = [set() for _ in pres.generators]
     for i, j in pres.relations:

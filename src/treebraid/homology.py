@@ -12,7 +12,7 @@ pivot growth can never overflow.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from heapq import heapify, heappop, heappush
 
 
@@ -235,3 +235,43 @@ def rank_and_factors(m: SparseIntMatrix) -> tuple[int, list[int]]:
     units, dense = eliminate_units(m)
     diag = smith_diagonal(dense)
     return units + len(diag), [d for d in diag if d != 1]
+
+
+def chain_homology(
+    counts: Sequence[int], boundary: Callable[[int, set[int]], SparseIntMatrix]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(ranks, betti, torsion) of a chain complex with counts[d] cells in
+    dimension d = 0..top: the rank of each boundary_d, d = 1..top, the
+    Betti numbers b_0..b_{top-1}, and the invariant factors != 1 of each
+    H_d, d = 0..top-1.  boundary(d, skip) is the matrix of boundary_d, its
+    columns in cell order but leaving out every d-cell whose index is in
+    skip; rows keep the (d-1)-cell indices.
+
+    b_d = #cells_d - rank(boundary_d) - rank(boundary_{d+1}); ranks are
+    over the rationals but computed by integer elimination, so the same
+    pass yields the invariant factors.
+
+    The boundaries are reduced from the top down with clearing (Chen and
+    Kerber, Persistent homology computation with a twist, 2011): a d-cell
+    that was a unit pivot row of boundary_{d+1} has its column left out of
+    boundary_d.  The pivot minor A of boundary_{d+1} is unimodular, and
+    boundary_d * boundary_{d+1} = 0 makes the cleared columns equal to
+    -(remaining columns) * boundary_{d+1}[rest, pivots] * A^-1, an integer
+    combination of the columns kept; rank and invariant factors survive.
+    """
+    top = len(counts) - 1
+    ranks = [0] * top
+    torsion: list[tuple[int, ...]] = [()] * top
+    cleared: set[int] = set()
+    for d in range(top, 0, -1):
+        if not counts[d]:
+            continue
+        sparse = boundary(d, cleared)
+        r, factors = rank_and_factors(sparse)
+        ranks[d - 1] = r
+        torsion[d - 1] = tuple(factors)
+        cleared = set(sparse.pivot_rows)
+    # ranks[d] is the rank of boundary_{d+1}, and torsion[d], the torsion of
+    # boundary_{d+1}, is that of H_d
+    bettis = tuple(counts[d] - (ranks[d - 1] if d else 0) - ranks[d] for d in range(top))
+    return tuple(ranks), bettis, tuple(torsion)

@@ -99,7 +99,7 @@ def make_tree(vertices, edges, endpoint: str) -> Tree:
         )
     tree = Tree(vs, tuple(sorted(norm)), endpoint)
     # connected + |E| = |V| - 1  =>  acyclic
-    if len(_bfs_parents(tree, vs[0])) != len(vs):
+    if len(bfs_parents(tree, vs[0])) != len(vs):
         raise InvalidTreeError("not a tree: graph is disconnected")
     if tree.degree(endpoint) != 1:
         raise InvalidTreeError(
@@ -191,7 +191,7 @@ def _walk_path(tree: Tree, start: str, first_step: str) -> list[str]:
     return path
 
 
-def _bfs_parents(tree: Tree, root: str) -> dict[str, str | None]:
+def bfs_parents(tree: Tree, root: str) -> dict[str, str | None]:
     """Breadth-first parent of each vertex reachable from root (the root's
     is None), keyed in visiting order."""
     parent = {root: None}
@@ -221,7 +221,7 @@ def validate_linear(tree: Tree) -> tuple[str, ...]:
         # max degree <= 2: the tree is a path and p is one of its two ends
         return tuple(_walk_path(tree, p, tree.neighbors(p)[0]))
 
-    parent = _bfs_parents(tree, p)
+    parent = bfs_parents(tree, p)
     dist: dict[str, int] = {}
     for v, up in parent.items():       # parents come before their children
         dist[v] = 0 if up is None else dist[up] + 1

@@ -169,6 +169,15 @@ class TestVerify:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["0", "3"])
+    @pytest.mark.parametrize("parts", ["0", "-1"])
+    def test_subdivision_below_one_is_a_usage_error(self, tree_file, capsys, n, parts):
+        code = cli.main(["verify", "--tree", tree_file(TRIPOD), "--n", n, "--subdivision", parts])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: argument --subdivision: must be >= 1, got {parts}" in err
+
     def test_oracle_subdivides_the_input_tree(self, tree_file, capsys, monkeypatch):
         # the glue-normalized H-tree has 7 vertices and 6 edges; at n=3 its
         # subdivision would have 13 vertices, the input tree's has 6 + 5
@@ -345,6 +354,22 @@ class TestTable:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("error,code", [
+        (MemoryError, 4),
+        (stars.RankMismatchError("rank disagreement"), 3),
+    ], ids=["out-of-memory", "rank-mismatch"])
+    def test_failing_rank_prints_no_partial_table(self, error, code, capsys, monkeypatch):
+        def failing(k, n):
+            if (k, n) == (3, 2):
+                raise error
+            return 0
+
+        monkeypatch.setattr(stars, "rank", failing)
+        assert cli.main(["table", "--k-min", "2", "--k-max", "4"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestStabilize:

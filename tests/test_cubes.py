@@ -13,6 +13,7 @@ from treebraid.cubes import (
     cell_faces,
     check_boundary_squares_to_zero,
     layer_sizes,
+    oracle_report,
     pi1_presentation,
     raag_clique_counts,
 )
@@ -189,6 +190,38 @@ class TestBetti:
         rep = betti(build_complex(fine, 2, d_max=2))
         assert rep.betti == (1, 1)
         assert rep.cell_counts == (45, 72, 27)
+
+
+class TestOracleReport:
+    @pytest.mark.parametrize("d_max", [2, 3])
+    def test_zero_strands_is_a_point(self, htree, d_max):
+        rep = oracle_report(htree, 0, d_max)
+        assert rep.cell_counts == (1,) + (0,) * d_max
+        assert rep.betti == (1, 0, 0)[:d_max]
+        assert not any(rep.torsion)
+
+    @pytest.mark.parametrize("n,parts", [(1, 1), (2, 1), (3, 2), (4, 3)])
+    def test_default_cut_is_the_floor(self, tripod, n, parts, monkeypatch):
+        seen = []
+        real = cubes.subdivide_edges
+        monkeypatch.setattr(cubes, "subdivide_edges", lambda t, k: seen.append(k) or real(t, k))
+        oracle_report(tripod, n)
+        assert seen == [parts]
+
+    def test_below_the_floor_builds_nothing(self, tripod, monkeypatch):
+        monkeypatch.setattr(cubes, "build_complex", None)
+        with pytest.raises(ValueError, match="subdivision 1 is too coarse for n=3; need at least 2"):
+            oracle_report(tripod, 3, parts=1)
+
+    def test_boundary_is_checked_before_betti(self, tripod, monkeypatch):
+        calls = []
+        for name in ("check_boundary_squares_to_zero", "betti"):
+            real = getattr(cubes, name)
+            monkeypatch.setattr(
+                cubes, name, lambda cx, _real=real, _name=name: calls.append(_name) or _real(cx)
+            )
+        assert oracle_report(tripod, 2, parts=3).betti == (1, 1, 0)
+        assert calls == ["check_boundary_squares_to_zero", "betti"]
 
 
 class TestClearing:

@@ -7,6 +7,7 @@ import pytest
 
 from treebraid.homology import (
     SparseIntMatrix,
+    chain_homology,
     eliminate_units,
     rank_and_factors,
     smith_diagonal,
@@ -240,3 +241,43 @@ class TestRankAndFactors:
         r, factors = rank_and_factors(sparse_from_dense(mixed))
         assert r == base_rank
         assert factors == [2, 6]
+
+
+class TestChainHomology:
+    """chain_homology on hand-built complexes; columns[d] lists the columns
+    of boundary_d, and each request's skip set is recorded."""
+
+    @staticmethod
+    def run(counts, columns):
+        requested = {}
+
+        def boundary(d, skip):
+            requested[d] = set(skip)
+            kept = [col for j, col in enumerate(columns[d]) if j not in skip]
+            return SparseIntMatrix.from_columns(counts[d - 1], kept)
+
+        return chain_homology(counts, boundary), requested
+
+    def test_disc_glued_twice_round_a_loop(self):
+        # one vertex, one loop edge (boundary 0), one 2-cell with boundary 2
+        (ranks, b, torsion), requested = self.run([1, 1, 1], {1: [[]], 2: [[(0, 2)]]})
+        assert b == (1, 0)
+        assert torsion == ((), (2,))
+        assert ranks == (0, 1)
+        assert requested == {2: set(), 1: set()}   # a non-unit pivot is never cleared
+
+    def test_filled_triangle(self):
+        # vertices 0, 1, 2; edges 01, 02, 12 oriented upward; face 01 - 02 + 12
+        edges = [[(0, -1), (1, 1)], [(0, -1), (2, 1)], [(1, -1), (2, 1)]]
+        face = [[(0, 1), (1, -1), (2, 1)]]
+        (ranks, b, torsion), requested = self.run([3, 3, 1], {1: edges, 2: face})
+        assert b == (1, 0)
+        assert torsion == ((), ())
+        assert ranks == (2, 1)
+        assert requested[2] == set() and len(requested[1]) == 1
+
+    def test_empty_dimensions_are_not_requested(self):
+        # the one-cell complex of zero strands
+        (ranks, b, torsion), requested = self.run([1, 0, 0, 0], {})
+        assert (ranks, b, torsion) == ((0, 0, 0), (1, 0, 0), ((), (), ()))
+        assert requested == {}

@@ -1,7 +1,9 @@
 """The package imports nothing outside the standard library, and the cube
-oracle (``cubes`` and ``homology``) never imports the star construction it
-is meant to check."""
+oracle (``cubes`` and ``homology``) never reaches the star construction it
+is meant to check, directly or through another module."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,8 +40,36 @@ def test_only_standard_library_imports(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def package_imports(name):
+    """Package modules that importing treebraid.<name> loads besides itself:
+    the package __init__, and every module either of them imports, followed
+    transitively."""
+    seen = set()
+    todo = [name, "__init__"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        absolute, relative = imports(PACKAGE / f"{module}.py")
+        todo.extend(relative)
+        todo.extend(m.split(".")[1] for m in absolute if m.startswith("treebraid."))
+    return seen - {name}
+
+
 @pytest.mark.parametrize("name", ["cubes", "homology"])
-def test_oracle_does_not_import_stars(name):
-    absolute, relative = imports(PACKAGE / f"{name}.py")
-    assert "stars" not in relative
-    assert not any(m == "treebraid.stars" or m.startswith("treebraid.stars.") for m in absolute)
+def test_oracle_reaches_neither_stars_nor_presentation(name):
+    reached = package_imports(name)
+    assert not reached & {"stars", "presentation"}, f"{name} reaches {sorted(reached)}"
+
+
+def test_importing_cubes_loads_no_construction():
+    code = "import sys, treebraid.cubes; print(*sorted(sys.modules), sep='\\n')"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {m for m in proc.stdout.split() if m.split(".")[0] == "treebraid"}
+    assert "treebraid.cubes" in loaded
+    assert not loaded & {"treebraid.stars", "treebraid.presentation"}, sorted(loaded)
