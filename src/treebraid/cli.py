@@ -14,6 +14,7 @@ consistency failure, 4 resource cap refusal or out of memory.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -225,6 +226,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic collector is paused for the command and put back as it was
+    on return: everything a command builds is acyclic (tests pin that), so
+    collections would only walk the cached star edges and free nothing.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

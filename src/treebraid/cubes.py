@@ -77,24 +77,21 @@ class HomologyReport:
     torsion: tuple[tuple[int, ...], ...]  # invariant factors != 1 of H_d
 
 
-def _disjoint_edge_tuples(edges, masks, size: int):
-    """All strictly increasing tuples of pairwise vertex-disjoint edges."""
-    if size == 0:
-        yield ((), 0)
+def _disjoint_edge_tuples(edges, masks, size: int, start: int = 0,
+                          chosen: tuple = (), used: int = 0):
+    """All strictly increasing tuples of ``size`` pairwise vertex-disjoint
+    edges, with the vertex masks they cover, that extend ``chosen`` (mask
+    ``used``) by edges from index ``start`` on.  It recurses through itself
+    rather than a nested closure, which would leave a function <-> cell
+    reference cycle for the cyclic collector on every call."""
+    if len(chosen) == size:
+        yield chosen, used
         return
-    total = len(edges)
-
-    def extend(start: int, chosen: tuple, used: int, depth: int):
-        if depth == size:
-            yield chosen, used
-            return
-        for i in range(start, total):
-            mask = masks[i]
-            if used & mask:
-                continue
-            yield from extend(i + 1, chosen + (edges[i],), used | mask, depth + 1)
-
-    yield from extend(0, (), 0, 0)
+    for i in range(start, len(edges)):
+        mask = masks[i]
+        if used & mask:
+            continue
+        yield from _disjoint_edge_tuples(edges, masks, size, i + 1, chosen + (edges[i],), used | mask)
 
 
 def matching_counts(tree: Tree, top: int) -> list[int]:

@@ -25,8 +25,8 @@ which is what makes the glued presentations of whole trees stable in n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement, compress, filterfalse
 from math import comb
 from operator import sub
 from typing import NamedTuple
@@ -102,9 +102,14 @@ def type2_vertices(k: int, n: int) -> list[TypeIIVertex]:
     return [TypeIIVertex(a) for a in _hub_free_vectors(k, n)]
 
 
+# StarEdge(a, p) without NamedTuple's Python-level __new__
+_edge = partial(tuple.__new__, StarEdge)
+
+
 def star_edges(k: int, n: int) -> list[StarEdge]:
     """Every edge of the complex, ordered by (a, p)."""
-    return [StarEdge(a, p) for a in _hub_free_vectors(k, n) for p, x in enumerate(a, 1) if x]
+    arms = range(1, k + 1)      # compress keeps the occupied ones, a[p-1] >= 1
+    return [_edge((a, p)) for a in _hub_free_vectors(k, n) for p in compress(arms, a)]
 
 
 def base_vertex(k: int, n: int) -> TypeIVertex:
@@ -147,7 +152,7 @@ def is_tree_edge(edge: StarEdge) -> bool:
 @lru_cache(maxsize=None)
 def spanning_tree(k: int, n: int) -> frozenset[StarEdge]:
     """Successor edges of every non-base vertex: a maximal tree of the complex."""
-    return frozenset(e for e in star_edges(k, n) if is_tree_edge(e))
+    return frozenset(filter(is_tree_edge, star_edges(k, n)))
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +166,7 @@ def basis(k: int, n: int) -> frozenset[StarEdge]:
     """
     if k < 2 or n < 0:
         raise ValueError(f"a star needs k >= 2 arms and n >= 0 strands, got k={k}, n={n}")
-    return frozenset(e for e in star_edges(k, n) if not is_tree_edge(e))
+    return frozenset(filterfalse(is_tree_edge, star_edges(k, n)))
 
 
 def rank_closed_form(k: int, n: int) -> int:

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from hashlib import sha256
@@ -440,6 +441,50 @@ class TestInternalErrors:
         code = cli.main(["present", "--tree", tree_file(HTREE), "--n", "4"])
         assert code == 4
         assert "error: out of memory" in capsys.readouterr().err
+
+
+def _exhausted(arm_counts, n):
+    raise MemoryError
+
+
+class TestCollectorState:
+    """cli.main runs the command with the cyclic collector paused and puts
+    it back as it found it, whatever the exit code."""
+
+    CASES = {
+        "table": (["table"], None, 0),
+        "usage-error": (["table", "--k-min"], None, 1),
+        "rank-mismatch": (["table", "--k-min", "3", "--k-max", "3"],
+                          (stars, "rank_from_euler", lambda k, n: -1), 3),
+        "out-of-memory": (["present", "--tree", HTREE, "--n", "4"],
+                          (presentation, "assemble", _exhausted), 4),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_state_is_restored(self, tree_file, capsys, monkeypatch, case, enabled):
+        argv, patch, expected = self.CASES[case]
+        argv = [tree_file(a) if isinstance(a, dict) else a for a in argv]
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        inside = []
+        real_build_parser = cli.build_parser
+
+        def spy():
+            inside.append(gc.isenabled())
+            return real_build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = cli.main(argv)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert code == expected
+        assert inside == [False]
+        assert after is enabled
 
 
 class TestInputFuzz:

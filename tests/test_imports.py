@@ -1,6 +1,7 @@
-"""The package imports nothing outside the standard library, and the cube
-oracle (``cubes`` and ``homology``) never reaches the star construction it
-is meant to check, directly or through another module."""
+"""The package imports nothing outside the standard library, only the CLI
+touches the interpreter's cyclic collector, and the cube oracle (``cubes``
+and ``homology``) never reaches the star construction it is meant to check,
+directly or through another module."""
 import ast
 import os
 import subprocess
@@ -38,6 +39,13 @@ def test_only_standard_library_imports(path):
     absolute, _ = imports(path)
     outside = {name for name in absolute if name.split(".")[0] not in sys.stdlib_module_names}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_cli_imports_gc(path):
+    # library calls must leave interpreter state, such as the collector, alone
+    absolute, _ = imports(path)
+    assert ("gc" in absolute) == (path.stem == "cli")
 
 
 def package_imports(name):

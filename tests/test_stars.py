@@ -47,6 +47,13 @@ class TestEnumeration:
         assert star_edges(k, n) == sorted(star_edges(k, n))
 
     @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_star_edges_are_real_star_edges(self, k, n):
+        # built through tuple.__new__, not StarEdge's own constructor
+        for e in star_edges(k, n):
+            assert type(e) is StarEdge
+            assert e == StarEdge(e.a, e.p)
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
     def test_type2_against_brute_force(self, k, n):
         expect = [
             a for a in brute_vectors(n, k) if sum(1 for x in a if x) >= 2
