@@ -18,9 +18,9 @@ are plain int tuples and the lexicographic cell order is reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .homology import SparseIntMatrix, chain_homology, rank_and_factors
 from .trees import Tree, bfs_parents, subdivide_edges
@@ -47,8 +47,7 @@ class BoundarySquareError(AssertionError):
     """Some boundary of a boundary is not exactly zero."""
 
 
-@dataclass(frozen=True)
-class CubeComplex:
+class CubeComplex(NamedTuple):
     tree: Tree
     n: int
     d_max: int
@@ -58,8 +57,7 @@ class CubeComplex:
         return [len(layer) for layer in self.cells]
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
+class BoundaryMatrix(NamedTuple):
     """Signed incidence of d-cells (columns) on (d-1)-cells (rows)."""
 
     nrows: int
@@ -69,8 +67,7 @@ class BoundaryMatrix:
         return SparseIntMatrix.from_columns(self.nrows, self.columns)
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     cell_counts: tuple[int, ...]
     boundary_ranks: tuple[int, ...]      # rank of d-boundary, d = 1..d_max
     betti: tuple[int, ...]               # b_0 .. b_{d_max - 1}
@@ -270,8 +267,7 @@ def oracle_report(
     return betti(cx)
 
 
-@dataclass(frozen=True)
-class Pi1Presentation:
+class Pi1Presentation(NamedTuple):
     """Spanning-tree presentation of the fundamental group of the 1-skeleton
     modulo the squares: generators are the non-tree 1-cells, one relator
     word (length <= 4 after tree elision) per 2-cell.

@@ -14,6 +14,10 @@ defining graph: vertices = generators, edges = commuting pairs, and a
 the pairs sorted.  The JSON and DOT exports write these fields as they are,
 each through a fixed template.
 
+``Generator``, ``Presentation`` and ``StabilizationMap`` are NamedTuples:
+a generator's natural order is (star, a, p), and it hashes and compares
+as the tuple (star, edge), so sorting and index lookups run in C.
+
 ``assemble`` realizes that sweep literally, by iterating strand-addition
 maps; ``commutation_predicate`` is the equivalent closed form in terms of
 capacities, kept as an independent code path so the two can be checked
@@ -21,7 +25,7 @@ against each other.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .stars import StarEdge, add_strand, basis, capacity
 
@@ -34,16 +38,14 @@ class NaturalityError(RuntimeError):
     """A stabilization image escaped the target presentation (a bug)."""
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple):
     """A basis edge of star number ``star`` (1-based along the spine)."""
 
     star: int
     edge: StarEdge
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """The defining graph at a fixed strand count: generators in sorted
     order, and each commuting pair as an index pair i < j into them, the
     pairs sorted."""
@@ -53,24 +55,13 @@ class Presentation:
     relations: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class StabilizationMap:
+class StabilizationMap(NamedTuple):
     """Embedding of the (n-1)-strand presentation into the n-strand one:
     mapping[i] is the target index of source generator i."""
 
     source: Presentation
     target: Presentation
     mapping: tuple[int, ...]
-
-
-def _shift(edge: StarEdge, arm: int, times: int) -> StarEdge:
-    for _ in range(times):
-        edge = add_strand(edge, arm)
-    return edge
-
-
-def _sort_key(g: Generator) -> tuple:
-    return g.star, g.edge.a, g.edge.p
 
 
 def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
@@ -91,19 +82,18 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
     generators = sorted(
-        (Generator(i, e) for i, k in enumerate(arm_counts, 1) for e in basis(k, n)),
-        key=_sort_key,
+        Generator(i, e) for i, k in enumerate(arm_counts, 1) for e in basis(k, n)
     )
-    index = {_sort_key(g): j for j, g in enumerate(generators)}
+    index = {g: j for j, g in enumerate(generators)}
 
     def indices(star: int, level: int, arm: int, times: int) -> list[int]:
         """Level-n indices of star's level-``level`` basis edges after
         ``times`` strands are pushed in along arm."""
         out = []
         for e in basis(arm_counts[star - 1], level):
-            e = _shift(e, arm, times)
+            e = add_strand(e, arm, times)
             try:
-                out.append(index[star, e.a, e.p])
+                out.append(index[star, e])
             except KeyError:
                 raise NaturalityError(
                     f"shifted generator {Generator(star, e)} is not a generator at level {n}"

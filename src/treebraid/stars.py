@@ -24,11 +24,10 @@ which is what makes the glued presentations of whole trees stable in n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, compress, filterfalse
 from math import comb
-from operator import sub
+from operator import attrgetter, eq, ge, gt, le, lt, sub
 from typing import NamedTuple
 
 
@@ -44,18 +43,55 @@ class RankMismatchError(RuntimeError):
     """Internal inconsistency between the three rank computations."""
 
 
-@dataclass(frozen=True, order=True)
-class TypeIVertex:
+def _same_kind(op):
+    """op on the arm vectors of two vertices of one kind; NotImplemented
+    for anything else, so a vertex never equals, nor orders against, the
+    other kind or a StarEdge."""
+
+    def compare(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return op(self._arms, other._arms)
+
+    return compare
+
+
+class _Vertex:
+    """A vertex of the star complex: one read-only arm vector, hashed as
+    the 1-tuple of it and compared only with vertices of the same kind."""
+
+    __slots__ = ("_arms",)
+
+    def __init__(self, arms: tuple[int, ...]):
+        self._arms = arms
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={self._arms!r})"
+
+    def __hash__(self):
+        return hash((self._arms,))
+
+    __eq__ = _same_kind(eq)
+    __lt__ = _same_kind(lt)
+    __le__ = _same_kind(le)
+    __gt__ = _same_kind(gt)
+    __ge__ = _same_kind(ge)
+
+
+class TypeIVertex(_Vertex):
     """Hub occupied; b = strands per arm, hub excluded (sum n - 1)."""
 
-    b: tuple[int, ...]
+    __slots__ = ()
+    _field = "b"
+    b = property(attrgetter("_arms"))
 
 
-@dataclass(frozen=True, order=True)
-class TypeIIVertex:
+class TypeIIVertex(_Vertex):
     """Hub free; a = strands per arm (sum n, at least two arms occupied)."""
 
-    a: tuple[int, ...]
+    __slots__ = ()
+    _field = "a"
+    a = property(attrgetter("_arms"))
 
 
 class StarEdge(NamedTuple):
@@ -215,17 +251,20 @@ def rank(k: int, n: int) -> int:
     return enumerated
 
 
-def add_strand(edge: StarEdge, arm: int) -> StarEdge:
-    """Image of an edge after parking one extra strand at arm 1 or arm 2.
+def add_strand(edge: StarEdge, arm: int, times: int = 1) -> StarEdge:
+    """Image of an edge after parking ``times`` extra strands at arm 1 or
+    arm 2, in one step: the one-strand map applied ``times`` times.
 
     Tree edges map to tree edges and basis edges to basis edges, and the
     two arms' maps commute; none of this holds for arms >= 3.
     """
     if arm not in (1, 2):
         raise ValueError(f"strands can only be added at arm 1 or 2, got arm {arm}")
+    if times < 0:
+        raise ValueError(f"cannot add a negative number of strands, got {times}")
     a = list(edge.a)
-    a[arm - 1] += 1
-    return StarEdge(tuple(a), edge.p)
+    a[arm - 1] += times
+    return _edge((tuple(a), edge.p))
 
 
 def capacity(edge: StarEdge, arm: int) -> int:

@@ -11,13 +11,15 @@ degree-1 vertex singled out.  The module knows how to
 * subdivide edges (needed by the cube-complex verifier).
 
 Everything is immutable and deterministic: spines and ids are ordered by
-string comparison, never by hash order.
+string comparison, never by hash order.  ``Tree`` is a slotted class with
+read-only fields; it builds its adjacency once, on construction, and is
+equal and hashed as (vertices, edges, endpoint), so the same tree written
+in any edge order, orientation or vertex order loads as an equal Tree.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 
 
 class TreeError(Exception):
@@ -40,23 +42,46 @@ class NotLinearError(TreeError):
         self.offending = tuple(offending)
 
 
-@dataclass(frozen=True)
 class Tree:
-    """Undirected tree; ``endpoint`` is the marked degree-1 vertex."""
+    """Undirected tree; ``endpoint`` is the marked degree-1 vertex.
 
-    vertices: tuple[str, ...]                  # sorted
-    edges: tuple[tuple[str, str], ...]         # each (u, w) with u < w, sorted
-    endpoint: str
-    _adjacency: dict = field(init=False, compare=False, repr=False)
+    Read-only: equal and hashed as (vertices, edges, endpoint); the
+    adjacency is built once, here, and is not part of either.
+    """
 
-    def __post_init__(self):
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, w in self.edges:
+    __slots__ = ("vertices", "edges", "endpoint", "_adjacency")
+
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...],
+                 endpoint: str):
+        # vertices sorted; edges each (u, w) with u < w, sorted
+        adj: dict[str, list[str]] = {v: [] for v in vertices}
+        for u, w in edges:
             adj[u].append(w)
             adj[w].append(u)
-        object.__setattr__(
-            self, "_adjacency", {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        )
+        adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        for name, value in zip(self.__slots__, (vertices, edges, endpoint, adjacency)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.vertices, self.edges, self.endpoint
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(vertices={self.vertices!r}, "
+                f"edges={self.edges!r}, endpoint={self.endpoint!r})")
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self._adjacency[v]

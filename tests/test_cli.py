@@ -385,7 +385,7 @@ class TestStabilize:
     def test_broken_chain_exits_3(self, tree_file, monkeypatch, capsys):
         from treebraid import presentation as pres_mod
 
-        def sabotaged(edge, arm):
+        def sabotaged(edge, arm, times=1):
             return edge
 
         monkeypatch.setattr(pres_mod, "add_strand", sabotaged)
@@ -424,8 +424,8 @@ class TestInternalErrors:
         assert "error: boundary^2 != 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shift", [
-        lambda edge, arm: edge,
-        lambda edge, arm: stars.add_strand(stars.add_strand(edge, arm), arm),
+        lambda edge, arm, times=1: edge,
+        lambda edge, arm, times=1: stars.add_strand(stars.add_strand(edge, arm, times), arm, times),
     ], ids=["forgets-the-strand", "adds-two"])
     def test_broken_shift_in_assemble_exits_3(self, tree_file, capsys, monkeypatch, shift):
         monkeypatch.setattr(presentation, "add_strand", shift)

@@ -1,7 +1,9 @@
 """The package imports nothing outside the standard library, only the CLI
 touches the interpreter's cyclic collector, and the cube oracle (``cubes``
 and ``homology``) never reaches the star construction it is meant to check,
-directly or through another module."""
+directly or through another module.  Starting the CLI loads none of the
+standard modules that compile or inspect code (``dataclasses`` and what it
+pulls in): every command would pay for them before computing anything."""
 import ast
 import os
 import subprocess
@@ -48,6 +50,33 @@ def test_only_the_cli_imports_gc(path):
     assert ("gc" in absolute) == (path.stem == "cli")
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    absolute, _ = imports(path)
+    assert not {name for name in absolute if name.split(".")[0] == "dataclasses"}
+
+
+def new_modules(statement):
+    """Modules that running statement loads in a fresh interpreter, beyond
+    those the interpreter had already loaded when it started."""
+    code = (
+        "import sys; before = set(sys.modules); " + statement
+        + "; print(*sorted(set(sys.modules) - before), sep='\\n')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_start_up_compiles_nothing():
+    loaded = new_modules("import treebraid.cli")
+    assert "treebraid.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(loaded)
+
+
 def package_imports(name):
     """Package modules that importing treebraid.<name> loads besides itself:
     the package __init__, and every module either of them imports, followed
@@ -72,12 +101,6 @@ def test_oracle_reaches_neither_stars_nor_presentation(name):
 
 
 def test_importing_cubes_loads_no_construction():
-    code = "import sys, treebraid.cubes; print(*sorted(sys.modules), sep='\\n')"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = {m for m in proc.stdout.split() if m.split(".")[0] == "treebraid"}
+    loaded = {m for m in new_modules("import treebraid.cubes") if m.split(".")[0] == "treebraid"}
     assert "treebraid.cubes" in loaded
     assert not loaded & {"treebraid.stars", "treebraid.presentation"}, sorted(loaded)

@@ -85,7 +85,7 @@ class TestAssemble:
     def test_broken_shift_is_caught(self, htree, monkeypatch):
         # a shifted edge that is not a level-n generator is a bug, and must
         # surface as NaturalityError rather than a KeyError
-        monkeypatch.setattr(pres, "add_strand", lambda edge, arm: edge)
+        monkeypatch.setattr(pres, "add_strand", lambda edge, arm, times=1: edge)
         with pytest.raises(NaturalityError, match="not a generator at level 4"):
             assemble(trees.decompose(htree), 4)
 

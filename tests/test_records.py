@@ -1,0 +1,163 @@
+"""The package's record types behave as frozen records of their fields:
+exact reprs, read-only fields, ordering and hashing by the field tuple,
+and the two star-complex vertex kinds kept apart.  Error messages that
+print records are pinned byte for byte."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from treebraid import cubes, trees
+from treebraid import presentation as pres
+from treebraid.presentation import Generator, NaturalityError, Presentation
+from treebraid.stars import StarEdge, TypeIIVertex, TypeIVertex
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_reprs(htree):
+    e = StarEdge((0, 1, 1), 2)
+    assert repr(Generator(1, e)) == "Generator(star=1, edge=StarEdge(a=(0, 1, 1), p=2))"
+    assert repr(pres.assemble(trees.decompose(htree), 2)) == (
+        "Presentation(n=2, generators=(Generator(star=1, edge=StarEdge(a=(0, 1, 1), p=2)), "
+        "Generator(star=2, edge=StarEdge(a=(0, 1, 1), p=2))), relations=())"
+    )
+    assert repr(cubes.oracle_report(htree, 2)) == (
+        "HomologyReport(cell_counts=(15, 20, 4, 0), boundary_ranks=(14, 4, 0), "
+        "betti=(1, 2, 0), torsion=((), (), ()))"
+    )
+    tripod = trees.parse_tree("endpoint x\nx v\nv y\nz v\n")
+    assert repr(tripod) == (
+        "Tree(vertices=('v', 'x', 'y', 'z'), "
+        "edges=(('v', 'x'), ('v', 'y'), ('v', 'z')), endpoint='x')"
+    )
+    assert repr(TypeIVertex((0, 1, 0))) == "TypeIVertex(b=(0, 1, 0))"
+    assert repr(TypeIIVertex((0, 1, 1))) == "TypeIIVertex(a=(0, 1, 1))"
+
+
+def test_generators_sort_by_star_then_arms_then_arm(caterpillar5):
+    gens = pres.assemble(trees.decompose(caterpillar5), 4).generators
+    key = lambda g: (g.star, g.edge.a, g.edge.p)
+    assert list(gens) == sorted(gens, key=key)
+    assert sorted(reversed(gens)) == sorted(gens, key=key)
+    assert Generator(1, StarEdge((0, 2, 1), 3)) < Generator(1, StarEdge((1, 1, 1), 2))
+    assert Generator(1, StarEdge((0, 1, 1, 1), 3)) < Generator(2, StarEdge((0, 1, 1), 2))
+
+
+def records(htree):
+    """One instance of every record type, with the names of its fields."""
+    d = trees.decompose(htree)
+    source, target = pres.assemble(d, 2), pres.assemble(d, 3)
+    cx = cubes.build_complex(trees.subdivide_edges(htree, 2), 2)
+    return [
+        (StarEdge((0, 1, 1), 2), ("a", "p")),
+        (TypeIVertex((0, 1, 0)), ("b",)),
+        (TypeIIVertex((0, 1, 1)), ("a",)),
+        (Generator(1, StarEdge((0, 1, 1), 2)), ("star", "edge")),
+        (target, ("n", "generators", "relations")),
+        (pres.stabilize(source, target), ("source", "target", "mapping")),
+        (htree, ("vertices", "edges", "endpoint")),
+        (cx, ("tree", "n", "d_max", "cells")),
+        (cubes.boundary_matrix(cx, 1), ("nrows", "columns")),
+        (cubes.betti(cx), ("cell_counts", "boundary_ranks", "betti", "torsion")),
+        (cubes.pi1_presentation(cx), ("generator_count", "relators")),
+    ]
+
+
+def test_fields_are_read_only(htree):
+    for record, fields in records(htree):
+        before = repr(record)
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert repr(record) == before, type(record).__name__
+
+
+def test_records_hash_as_their_field_tuples(htree):
+    for record, fields in records(htree):
+        values = tuple(getattr(record, field) for field in fields)
+        assert hash(record) == hash(values), type(record).__name__
+
+
+def perfbench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+def test_tree_is_the_same_across_shuffled_inputs(tmp_path, monkeypatch):
+    # the benchmark's seeds shuffle edge order, orientation and vertex order
+    run = perfbench_run(monkeypatch)
+    loaded = []
+    for seed in range(12):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        run.write_inputs(work, seed)
+        loaded.append((trees.load_tree(work / "htree.json"),
+                       trees.load_tree(work / "caterpillar.txt")))
+    assert len({(work / "htree.json").read_text() for work in tmp_path.iterdir()}) > 1
+    for htree, caterpillar in loaded:
+        assert htree == loaded[0][0] and hash(htree) == hash(loaded[0][0])
+        assert caterpillar == loaded[0][1] and hash(caterpillar) == hash(loaded[0][1])
+        assert htree != caterpillar
+
+
+def test_tree_equality_reads_every_field():
+    path = trees.parse_tree("endpoint a\na b\nb c\n")
+    assert path == trees.parse_tree("endpoint a\nc b\nb a\n")
+    assert path != trees.parse_tree("endpoint c\na b\nb c\n")
+    assert path != trees.parse_tree("endpoint a\na b\nb d\n")
+    assert path != (path.vertices, path.edges, path.endpoint)
+
+
+def test_vertex_kinds_never_meet():
+    for arms in [(0, 1, 1), (1, 0), (2, 0, 0, 1)]:
+        one, two, edge = TypeIVertex(arms), TypeIIVertex(arms), StarEdge(arms, 1)
+        assert one != two and two != one
+        assert one != edge and two != edge and one != (arms,) and two != (arms,)
+        assert one == TypeIVertex(arms) and two == TypeIIVertex(arms)
+        assert len({one, two, TypeIVertex(arms), TypeIIVertex(arms)}) == 2
+        with pytest.raises(TypeError):
+            one < two
+    assert sorted([TypeIVertex((1, 0)), TypeIVertex((0, 1))]) == [
+        TypeIVertex((0, 1)), TypeIVertex((1, 0))]
+    assert TypeIIVertex((0, 1, 1)) <= TypeIIVertex((0, 1, 1)) < TypeIIVertex((1, 0, 1))
+
+
+class TestErrorMessages:
+    """Messages that print generators, byte for byte."""
+
+    def test_assemble_broken_shift(self, htree, monkeypatch):
+        monkeypatch.setattr(pres, "add_strand", lambda edge, arm, times=1: edge)
+        with pytest.raises(NaturalityError) as info:
+            pres.assemble(trees.decompose(htree), 4)
+        assert str(info.value) == (
+            "shifted generator Generator(star=1, edge=StarEdge(a=(0, 2, 1), p=2)) "
+            "is not a generator at level 4"
+        )
+
+    def test_stabilize_broken_shift(self, htree, monkeypatch):
+        d = trees.decompose(htree)
+        source, target = pres.assemble(d, 3), pres.assemble(d, 4)
+        monkeypatch.setattr(pres, "add_strand", lambda edge, arm, times=1: edge)
+        with pytest.raises(NaturalityError) as info:
+            pres.stabilize(source, target)
+        assert str(info.value) == (
+            "generator images escape level 4: ["
+            "Generator(star=1, edge=StarEdge(a=(0, 1, 2), p=2)), "
+            "Generator(star=1, edge=StarEdge(a=(0, 2, 1), p=2)), "
+            "Generator(star=1, edge=StarEdge(a=(1, 1, 1), p=2))]"
+        )
+
+    def test_missing_relation_image(self, htree):
+        d = trees.decompose(htree)
+        source, target = pres.assemble(d, 4), pres.assemble(d, 5)
+        dropped = Presentation(n=5, generators=target.generators, relations=())
+        with pytest.raises(NaturalityError) as info:
+            pres.stabilize(source, dropped)
+        assert str(info.value) == (
+            "relation image [Generator(star=1, edge=StarEdge(a=(1, 3, 1), p=2)), "
+            "Generator(star=2, edge=StarEdge(a=(3, 1, 1), p=2))] missing at level 5"
+        )

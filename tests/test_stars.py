@@ -308,6 +308,23 @@ class TestAddStrand:
     def test_rejects_high_arms(self):
         with pytest.raises(ValueError):
             add_strand(StarEdge((0, 1, 1), 2), 3)
+        with pytest.raises(ValueError):
+            add_strand(StarEdge((0, 1, 1), 2), 0, times=2)
+
+    @pytest.mark.parametrize("times", [-1, -3])
+    def test_rejects_negative_times(self, times):
+        with pytest.raises(ValueError, match="negative"):
+            add_strand(StarEdge((0, 1, 1), 2), 1, times)
+
+    @pytest.mark.parametrize("k,n", [(3, 4), (4, 3), (5, 2)])
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_times_is_repeated_single_steps(self, k, n, arm):
+        for e in star_edges(k, n):
+            stepped = e
+            for times in range(5):
+                assert add_strand(e, arm, times) == stepped
+                assert type(add_strand(e, arm, times)) is StarEdge
+                stepped = add_strand(stepped, arm)
 
 
 class TestCapacity:
