@@ -75,13 +75,15 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     X_{i+1} generator reachable by pushing n-k strands in at its left
     endpoint (a uniform arm-1 shift on every constituent star).
 
-    Generators sort star first, so each such pair is an index pair g < h;
-    sorting each g's partners once sorts the pairs.  A shifted edge that
-    is not a level-n generator raises NaturalityError.
+    Generators are listed star by star, each star's basis in its (a, p)
+    order: that is their sorted (star, a, p) order with no sort.  Star
+    first makes each such pair an index pair g < h, and sorting each g's
+    partners once sorts the pairs.  A shifted edge that is not a level-n
+    generator raises NaturalityError.
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
-    generators = sorted(
+    generators = tuple(
         Generator(i, e) for i, k in enumerate(arm_counts, 1) for e in basis(k, n)
     )
     index = {g: j for j, g in enumerate(generators)}
@@ -110,7 +112,7 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
             for g in indices(i, n - k, 2, k):
                 later[g].update(suffix[k])
     relations = tuple((g, h) for g, hs in enumerate(later) for h in sorted(hs))
-    return Presentation(n=n, generators=tuple(generators), relations=relations)
+    return Presentation(n=n, generators=generators, relations=relations)
 
 
 def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
@@ -198,11 +200,3 @@ def to_dot(pres: Presentation) -> str:
         lines.append(f"  g{i} -- g{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export(pres: Presentation, fmt: str) -> str:
-    if fmt == "json":
-        return to_json(pres)
-    if fmt == "dot":
-        return to_dot(pres)
-    raise ValueError(f"unknown format: {fmt!r}")

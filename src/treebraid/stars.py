@@ -1,20 +1,24 @@
 """The reduced 1-complex of n unordered strands on a star with k arms.
 
 A star is a hub vertex v with k >= 2 arms; a strand configuration is
-described purely by how many strands sit on each arm.  Vertices of the
-complex come in two kinds:
+described purely by how many strands sit on each arm, so a vertex of the
+complex is an arm vector, a plain tuple of k counts.  There are two kinds:
 
-* TypeIVertex: the hub is occupied; ``b[j]`` counts the strands on arm
+* Type I, ``b``: the hub is occupied; ``b[j]`` counts the strands on arm
   j + 1 excluding the hub, so sum(b) == n - 1.
-* TypeIIVertex: the hub is free and every occupied arm has a strand
+* Type II, ``a``: the hub is free and every occupied arm has a strand
   pressed up against it; ``a[j]`` counts the strands on arm j + 1, so
   sum(a) == n, with at least two arms occupied.
+
+The sums differ, so within one level a vector is never both kinds.
 
 Every edge of the complex joins a Type II vertex ``a`` to the Type I
 vertex obtained by sliding one strand from arm p onto the hub, so an edge
 is the pair (a, p) with a[p-1] >= 1.
 Vertices are enumerated flat, by stars and bars (``arm_vectors``), in lex
-order; Type II vertices are the vectors with at most k - 2 empty arms.
+order, and edges in (a, p) order; the vertex lists, the edges, the
+spanning tree and the basis all come out in that order, unsorted.  Type II
+vertices are the vectors with at most k - 2 empty arms.
 
 Each non-base vertex has a canonical *successor* edge; the successor edges
 form a spanning tree of the complex, and the edges outside it are a free
@@ -27,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, compress, filterfalse
 from math import comb
-from operator import attrgetter, eq, ge, gt, le, lt, sub
+from operator import sub
 from typing import NamedTuple
 
 
@@ -43,57 +47,6 @@ class RankMismatchError(RuntimeError):
     """Internal inconsistency between the three rank computations."""
 
 
-def _same_kind(op):
-    """op on the arm vectors of two vertices of one kind; NotImplemented
-    for anything else, so a vertex never equals, nor orders against, the
-    other kind or a StarEdge."""
-
-    def compare(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return op(self._arms, other._arms)
-
-    return compare
-
-
-class _Vertex:
-    """A vertex of the star complex: one read-only arm vector, hashed as
-    the 1-tuple of it and compared only with vertices of the same kind."""
-
-    __slots__ = ("_arms",)
-
-    def __init__(self, arms: tuple[int, ...]):
-        self._arms = arms
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self._field}={self._arms!r})"
-
-    def __hash__(self):
-        return hash((self._arms,))
-
-    __eq__ = _same_kind(eq)
-    __lt__ = _same_kind(lt)
-    __le__ = _same_kind(le)
-    __gt__ = _same_kind(gt)
-    __ge__ = _same_kind(ge)
-
-
-class TypeIVertex(_Vertex):
-    """Hub occupied; b = strands per arm, hub excluded (sum n - 1)."""
-
-    __slots__ = ()
-    _field = "b"
-    b = property(attrgetter("_arms"))
-
-
-class TypeIIVertex(_Vertex):
-    """Hub free; a = strands per arm (sum n, at least two arms occupied)."""
-
-    __slots__ = ()
-    _field = "a"
-    a = property(attrgetter("_arms"))
-
-
 class StarEdge(NamedTuple):
     """Edge of the star complex: Type II vertex ``a`` plus the sliding arm p.
 
@@ -104,13 +57,11 @@ class StarEdge(NamedTuple):
     a: tuple[int, ...]
     p: int
 
-    def type2(self) -> TypeIIVertex:
-        return TypeIIVertex(self.a)
-
-    def type1(self) -> TypeIVertex:
+    def type1(self) -> tuple[int, ...]:
+        """The Type I end b; the Type II end is ``a`` itself."""
         b = list(self.a)
         b[self.p - 1] -= 1
-        return TypeIVertex(tuple(b))
+        return tuple(b)
 
 
 def arm_vectors(total: int, k: int):
@@ -123,19 +74,15 @@ def arm_vectors(total: int, k: int):
     return (tuple(map(sub, cuts + (total,), (0,) + cuts)) for cuts in cut_points)
 
 
-def _hub_free_vectors(k: int, n: int) -> list[tuple[int, ...]]:
-    """Arm vectors of the Type II vertices: at least two arms occupied."""
+def type1_vertices(k: int, n: int) -> list[tuple[int, ...]]:
+    """The hub-occupied vertices b: k nonnegative counts summing to n - 1."""
+    return list(arm_vectors(n - 1, k))
+
+
+def type2_vertices(k: int, n: int) -> list[tuple[int, ...]]:
+    """The hub-free vertices a: k nonnegative counts summing to n, >= 2 occupied."""
     most_empty = k - 2
     return [a for a in arm_vectors(n, k) if a.count(0) <= most_empty]
-
-
-def type1_vertices(k: int, n: int) -> list[TypeIVertex]:
-    return [TypeIVertex(b) for b in arm_vectors(n - 1, k)]
-
-
-def type2_vertices(k: int, n: int) -> list[TypeIIVertex]:
-    """All hub-free vertices: k nonnegative counts summing to n, >= 2 occupied."""
-    return [TypeIIVertex(a) for a in _hub_free_vectors(k, n)]
 
 
 # StarEdge(a, p) without NamedTuple's Python-level __new__
@@ -145,14 +92,14 @@ _edge = partial(tuple.__new__, StarEdge)
 def star_edges(k: int, n: int) -> list[StarEdge]:
     """Every edge of the complex, ordered by (a, p)."""
     arms = range(1, k + 1)      # compress keeps the occupied ones, a[p-1] >= 1
-    return [_edge((a, p)) for a in _hub_free_vectors(k, n) for p in compress(arms, a)]
+    return [_edge((a, p)) for a in type2_vertices(k, n) for p in compress(arms, a)]
 
 
-def base_vertex(k: int, n: int) -> TypeIVertex:
+def base_vertex(k: int, n: int) -> tuple[int, ...]:
     """The Type I vertex with every strand on arm 1 (requires n >= 1)."""
     if n < 1:
         raise ValueError("the empty configuration has no hub vertex")
-    return TypeIVertex((n - 1,) + (0,) * (k - 1))
+    return (n - 1,) + (0,) * (k - 1)
 
 
 def last_occupied_arm(a: tuple[int, ...]) -> int:
@@ -163,19 +110,20 @@ def last_occupied_arm(a: tuple[int, ...]) -> int:
     raise ValueError("empty configuration has no occupied arm")
 
 
-def successor(vertex: TypeIVertex | TypeIIVertex) -> StarEdge:
-    """The canonical edge leading one step closer to the base vertex.
+def type1_successor(b: tuple[int, ...]) -> StarEdge:
+    """The canonical edge leading Type I vertex b one step closer to the
+    base vertex: a strand slides from arm 1 off the hub, so the edge's
+    Type II end adds one to arm 1."""
+    if not any(b[1:]):
+        raise BaseVertexError("base vertex has no successor")
+    return StarEdge((b[0] + 1,) + b[1:], 1)
 
-    A Type I vertex slides a strand from arm 1 off the hub (so the edge's
-    Type II end adds one to arm 1); a Type II vertex slides the innermost
-    strand of its last occupied arm onto the hub.
-    """
-    if isinstance(vertex, TypeIVertex):
-        b = vertex.b
-        if all(x == 0 for x in b[1:]):
-            raise BaseVertexError("base vertex has no successor")
-        return StarEdge((b[0] + 1,) + b[1:], 1)
-    return StarEdge(vertex.a, last_occupied_arm(vertex.a))
+
+def type2_successor(a: tuple[int, ...]) -> StarEdge:
+    """The canonical edge leading Type II vertex a one step closer to the
+    base vertex: the innermost strand of its last occupied arm slides onto
+    the hub."""
+    return StarEdge(a, last_occupied_arm(a))
 
 
 def is_tree_edge(edge: StarEdge) -> bool:
@@ -185,24 +133,24 @@ def is_tree_edge(edge: StarEdge) -> bool:
     return edge.p == 1 or not any(edge.a[edge.p:])
 
 
-@lru_cache(maxsize=None)
-def spanning_tree(k: int, n: int) -> frozenset[StarEdge]:
-    """Successor edges of every non-base vertex: a maximal tree of the complex."""
-    return frozenset(filter(is_tree_edge, star_edges(k, n)))
+def spanning_tree(k: int, n: int) -> tuple[StarEdge, ...]:
+    """Successor edges of every non-base vertex, in (a, p) order: a maximal
+    tree of the complex."""
+    return tuple(filter(is_tree_edge, star_edges(k, n)))
 
 
 @lru_cache(maxsize=None)
-def basis(k: int, n: int) -> frozenset[StarEdge]:
-    """Edges outside the spanning tree: a free basis of the n-strand group
-    of a k-arm star, in closed form the edges (a, p) with a[p-1] >= 1 and
-    p neither 1 nor the last occupied arm.
+def basis(k: int, n: int) -> tuple[StarEdge, ...]:
+    """Edges outside the spanning tree, in (a, p) order: a free basis of the
+    n-strand group of a k-arm star, in closed form the edges (a, p) with
+    a[p-1] >= 1 and p neither 1 nor the last occupied arm.
 
     Cached: assembling presentations sweeps the same (k, n) levels over and
     over, and every level embeds in the next.
     """
     if k < 2 or n < 0:
         raise ValueError(f"a star needs k >= 2 arms and n >= 0 strands, got k={k}, n={n}")
-    return frozenset(filterfalse(is_tree_edge, star_edges(k, n)))
+    return tuple(filterfalse(is_tree_edge, star_edges(k, n)))
 
 
 def rank_closed_form(k: int, n: int) -> int:

@@ -81,8 +81,8 @@ def test_criterion_1_star_rank_table():
 def test_criterion_2_spanning_tree_properties():
     for k, n in product(range(2, 6), range(7)):
         tree_edges = stars.spanning_tree(k, n)
-        vertices = [("I", v.b) for v in stars.type1_vertices(k, n)]
-        vertices += [("II", v.a) for v in stars.type2_vertices(k, n)]
+        vertices = [("I", b) for b in stars.type1_vertices(k, n)]
+        vertices += [("II", a) for a in stars.type2_vertices(k, n)]
         parent = {v: v for v in vertices}
 
         def find(x):
@@ -92,7 +92,7 @@ def test_criterion_2_spanning_tree_properties():
             return x
 
         for e in tree_edges:
-            a, b = find(("II", e.a)), find(("I", e.type1().b))
+            a, b = find(("II", e.a)), find(("I", e.type1()))
             assert a != b, f"cycle at k={k}, n={n}"
             parent[a] = b
         assert len(tree_edges) == max(len(vertices) - 1, 0), f"not spanning at k={k}, n={n}"

@@ -105,6 +105,13 @@ class TestPresent:
                          "--n-min", "1", "--n-max", "3"]) == 1              # both forms
         assert cli.main(["nonsense"]) == 1
 
+    def test_unknown_format_exits_1(self, tree_file, capsys):
+        code = cli.main(["present", "--tree", tree_file(TRIPOD), "--n", "2", "--format", "xml"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --format: invalid choice: 'xml'" in err
+
     @pytest.mark.parametrize("field,value", [
         ("vertices", 5),
         ("edges", 5),
@@ -225,6 +232,48 @@ class TestVerify:
         code = cli.main(["verify", "--tree", tree_file(TRIPOD), "--n", "2"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("degree", [0, 2])    # b1 is test_mismatch_exits_3
+    def test_every_computed_degree_is_checked(self, tree_file, capsys, monkeypatch, degree):
+        real = cubes.betti
+
+        def lying_betti(cx):
+            rep = real(cx)
+            betti = list(rep.betti)
+            betti[degree] += 1
+            return rep._replace(betti=tuple(betti))
+
+        monkeypatch.setattr(cubes, "betti", lying_betti)
+        code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "4"])
+        assert code == 3
+        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "FAIL"
+
+    def test_torsion_fails(self, tree_file, capsys, monkeypatch):
+        real = cubes.betti
+        monkeypatch.setattr(cubes, "betti", lambda cx: real(cx)._replace(torsion=((), (2,), ())))
+        assert cli.main(["verify", "--tree", tree_file(HTREE), "--n", "4"]) == 3
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_row_pads_the_degrees_not_computed(self, tree_file, capsys):
+        assert cli.main(["verify", "--tree", tree_file(HTREE), "--n", "4", "--dmax", "2"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == "  4     12      1      0     12      -    -     PASS"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n-min", "3", "--n-max", "1"], "need 0 <= --n-min <= --n-max"),
+        (["--n-min", "-1", "--n-max", "2"], "need 0 <= --n-min <= --n-max"),
+        (["--n", "-1"], "--n must be >= 0"),
+        (["--n-min", "1"], "need --n or both --n-min and --n-max"),
+        (["--n", "2", "--n-min", "1", "--n-max", "3"], "give either --n or --n-min/--n-max, not both"),
+    ], ids=["reversed", "negative", "negative-n", "half-range", "n-and-range"])
+    def test_bad_range_exits_1_before_printing(self, tree_file, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "reports"
+        code = cli.main(["verify", "--tree", tree_file(HTREE), *argv, "--out", str(out_dir)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_present_with_verify_flag(self, tree_file, tmp_path, capsys):
         out = tmp_path / "pv"
@@ -381,6 +430,21 @@ class TestStabilize:
 
     def test_interval_chain(self, tree_file, capsys):
         assert cli.main(["stabilize", "--tree", tree_file(INTERVAL), "--n", "6"]) == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n-min", "3", "--n-max", "4"], "the following arguments are required: --n"),
+        (["--n", "4", "--n-min", "3"], "unrecognized arguments: --n-min 3"),
+        ([], "the following arguments are required: --n"),
+    ], ids=["range", "n-and-n-min", "no-n"])
+    def test_range_is_a_usage_error(self, tree_file, capsys, argv, message):
+        assert cli.main(["stabilize", "--tree", tree_file(HTREE), *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {message}\n" in err
+
+    def test_negative_n_exits_1(self, tree_file, capsys):
+        assert cli.main(["stabilize", "--tree", tree_file(HTREE), "--n", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: --n must be >= 0\n")
 
     def test_broken_chain_exits_3(self, tree_file, monkeypatch, capsys):
         from treebraid import presentation as pres_mod

@@ -12,7 +12,6 @@ from treebraid.presentation import (
     SameStarError,
     assemble,
     commutation_predicate,
-    export,
     predicate_relations,
     stabilize,
     to_dot,
@@ -62,6 +61,17 @@ class TestAssemble:
                 p = assemble(d, n)
                 expect = sum(stars.rank(k, n) for k in d)
                 assert len(p.generators) == expect
+
+    def test_generators_come_out_sorted(self, interval, tripod, star4, htree,
+                                        caterpillar3, caterpillar5):
+        # assemble lists each star's basis as it comes, with no sort of its own
+        rng = random.Random(20240)
+        shapes = decompositions(interval, tripod, star4, htree, caterpillar3, caterpillar5)
+        shapes += [trees.decompose(random_caterpillar(rng)) for _ in range(25)]
+        for d in shapes:
+            for n in range(7):
+                gens = assemble(d, n).generators
+                assert gens == tuple(sorted(gens)), (d, n)
 
     def test_relations_join_distinct_stars(self, caterpillar3):
         d = trees.decompose(caterpillar3)
@@ -259,11 +269,6 @@ class TestExport:
         d = trees.decompose(interval)
         text = to_dot(assemble(d, 5))
         assert "[label=" not in text and " -- " not in text
-
-    def test_unknown_format(self, tripod):
-        d = trees.decompose(tripod)
-        with pytest.raises(ValueError, match="unknown format"):
-            export(assemble(d, 2), "xml")
 
     def test_deterministic(self, caterpillar3):
         d = trees.decompose(caterpillar3)

@@ -1,7 +1,6 @@
 """The package's record types behave as frozen records of their fields:
-exact reprs, read-only fields, ordering and hashing by the field tuple,
-and the two star-complex vertex kinds kept apart.  Error messages that
-print records are pinned byte for byte."""
+exact reprs, read-only fields, ordering and hashing by the field tuple.
+Error messages that print records are pinned byte for byte."""
 import importlib.util
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import pytest
 from treebraid import cubes, trees
 from treebraid import presentation as pres
 from treebraid.presentation import Generator, NaturalityError, Presentation
-from treebraid.stars import StarEdge, TypeIIVertex, TypeIVertex
+from treebraid.stars import StarEdge
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -31,8 +30,6 @@ def test_reprs(htree):
         "Tree(vertices=('v', 'x', 'y', 'z'), "
         "edges=(('v', 'x'), ('v', 'y'), ('v', 'z')), endpoint='x')"
     )
-    assert repr(TypeIVertex((0, 1, 0))) == "TypeIVertex(b=(0, 1, 0))"
-    assert repr(TypeIIVertex((0, 1, 1))) == "TypeIIVertex(a=(0, 1, 1))"
 
 
 def test_generators_sort_by_star_then_arms_then_arm(caterpillar5):
@@ -51,8 +48,6 @@ def records(htree):
     cx = cubes.build_complex(trees.subdivide_edges(htree, 2), 2)
     return [
         (StarEdge((0, 1, 1), 2), ("a", "p")),
-        (TypeIVertex((0, 1, 0)), ("b",)),
-        (TypeIIVertex((0, 1, 1)), ("a",)),
         (Generator(1, StarEdge((0, 1, 1), 2)), ("star", "edge")),
         (target, ("n", "generators", "relations")),
         (pres.stabilize(source, target), ("source", "target", "mapping")),
@@ -112,29 +107,16 @@ def test_tree_equality_reads_every_field():
     assert path != (path.vertices, path.edges, path.endpoint)
 
 
-def test_vertex_kinds_never_meet():
-    for arms in [(0, 1, 1), (1, 0), (2, 0, 0, 1)]:
-        one, two, edge = TypeIVertex(arms), TypeIIVertex(arms), StarEdge(arms, 1)
-        assert one != two and two != one
-        assert one != edge and two != edge and one != (arms,) and two != (arms,)
-        assert one == TypeIVertex(arms) and two == TypeIIVertex(arms)
-        assert len({one, two, TypeIVertex(arms), TypeIIVertex(arms)}) == 2
-        with pytest.raises(TypeError):
-            one < two
-    assert sorted([TypeIVertex((1, 0)), TypeIVertex((0, 1))]) == [
-        TypeIVertex((0, 1)), TypeIVertex((1, 0))]
-    assert TypeIIVertex((0, 1, 1)) <= TypeIIVertex((0, 1, 1)) < TypeIIVertex((1, 0, 1))
-
-
 class TestErrorMessages:
     """Messages that print generators, byte for byte."""
 
     def test_assemble_broken_shift(self, htree, monkeypatch):
+        # names the first stray in (a, p) order, the order bases come in
         monkeypatch.setattr(pres, "add_strand", lambda edge, arm, times=1: edge)
         with pytest.raises(NaturalityError) as info:
             pres.assemble(trees.decompose(htree), 4)
         assert str(info.value) == (
-            "shifted generator Generator(star=1, edge=StarEdge(a=(0, 2, 1), p=2)) "
+            "shifted generator Generator(star=1, edge=StarEdge(a=(0, 1, 2), p=2)) "
             "is not a generator at level 4"
         )
 

@@ -9,8 +9,6 @@ from treebraid.stars import (
     NotBasisEdgeError,
     RankMismatchError,
     StarEdge,
-    TypeIVertex,
-    TypeIIVertex,
     add_strand,
     arm_vectors,
     base_vertex,
@@ -23,8 +21,9 @@ from treebraid.stars import (
     rank_from_euler,
     spanning_tree,
     star_edges,
-    successor,
+    type1_successor,
     type1_vertices,
+    type2_successor,
     type2_vertices,
 )
 
@@ -58,10 +57,14 @@ class TestEnumeration:
         expect = [
             a for a in brute_vectors(n, k) if sum(1 for x in a if x) >= 2
         ]
-        assert sorted(v.a for v in type2_vertices(k, n)) == expect
+        assert type2_vertices(k, n) == expect
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_type1_against_brute_force(self, k, n):
+        assert type1_vertices(k, n) == brute_vectors(n - 1, k)
 
     def test_type2_examples(self):
-        assert sorted(v.a for v in type2_vertices(3, 2)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+        assert type2_vertices(3, 2) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
         assert type2_vertices(3, 1) == []
         assert len(type2_vertices(3, 3)) == 7   # C(5,2) compositions minus 3 single-arm
 
@@ -73,7 +76,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_edge_count_is_occupied_arm_total(self, k, n):
         expect = sum(
-            sum(1 for x in v.a if x) for v in type2_vertices(k, n)
+            sum(1 for x in a if x) for a in type2_vertices(k, n)
         )
         assert len(star_edges(k, n)) == expect
 
@@ -82,9 +85,14 @@ class TestEnumeration:
         type1 = set(type1_vertices(k, n))
         type2 = set(type2_vertices(k, n))
         for e in star_edges(k, n):
-            assert e.type2() in type2
+            assert e.a in type2
             assert e.type1() in type1
-            assert sum(e.type1().b) == n - 1
+            assert sum(e.type1()) == n - 1
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_kinds_never_collide_within_a_level(self, k, n):
+        # the two kinds are bare tuples, told apart by their sums alone
+        assert not set(type1_vertices(k, n)) & set(type2_vertices(k, n))
 
 
 class TestStarEdge:
@@ -103,54 +111,52 @@ class TestStarEdge:
         with pytest.raises(AttributeError):
             e.p = 3
 
-    def test_never_equals_a_vertex(self):
-        a = (0, 1, 1)
-        assert StarEdge(a, 2) != TypeIIVertex(a)
-        assert TypeIIVertex(a) != TypeIVertex(a)
-
 
 class TestSuccessor:
     def test_type1_example(self):
-        assert successor(TypeIVertex((0, 1, 0))) == StarEdge((1, 1, 0), 1)
+        assert type1_successor((0, 1, 0)) == StarEdge((1, 1, 0), 1)
 
     def test_type2_example(self):
-        assert successor(TypeIIVertex((0, 1, 1))) == StarEdge((0, 1, 1), 3)
+        assert type2_successor((0, 1, 1)) == StarEdge((0, 1, 1), 3)
 
     def test_base_vertex_has_none(self):
+        assert base_vertex(3, 2) == (1, 0, 0)
         with pytest.raises(BaseVertexError):
-            successor(TypeIVertex((1, 0, 0)))
+            type1_successor((1, 0, 0))
 
     @pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 6) for n in range(1, 7)])
     def test_successor_edge_contains_its_vertex(self, k, n):
         base = base_vertex(k, n)
-        for v in type1_vertices(k, n):
-            if v == base:
+        for b in type1_vertices(k, n):
+            if b == base:
                 continue
-            e = successor(v)
-            assert e.type1() == v
-        for v in type2_vertices(k, n):
-            e = successor(v)
-            assert e.type2() == v
+            assert type1_successor(b).type1() == b
+        for a in type2_vertices(k, n):
+            assert type2_successor(a).a == a
 
     @pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 6) for n in range(1, 7)])
     def test_iterated_successor_reaches_base(self, k, n):
         # walking successor edges must terminate at the base vertex
-        base = base_vertex(k, n)
-        for start in type1_vertices(k, n) + type2_vertices(k, n):
-            v = start
+        base = ("I", base_vertex(k, n))
+        starts = [("I", b) for b in type1_vertices(k, n)]
+        starts += [("II", a) for a in type2_vertices(k, n)]
+        for v in starts:
             for _ in range(10 * (n + k)):
                 if v == base:
                     break
-                e = successor(v)
-                v = e.type2() if isinstance(v, TypeIVertex) else e.type1()
+                kind, arms = v
+                if kind == "I":
+                    v = ("II", type1_successor(arms).a)
+                else:
+                    v = ("I", type2_successor(arms).type1())
             assert v == base
 
 
 def check_tree(k, n):
     """Oracle: union-find acyclicity + spanning check over explicit vertices."""
     edges = spanning_tree(k, n)
-    vertices = [("I", v.b) for v in type1_vertices(k, n)]
-    vertices += [("II", v.a) for v in type2_vertices(k, n)]
+    vertices = [("I", b) for b in type1_vertices(k, n)]
+    vertices += [("II", a) for a in type2_vertices(k, n)]
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -160,7 +166,7 @@ def check_tree(k, n):
         return x
 
     for e in edges:
-        a, b = ("II", e.type2().a), ("I", e.type1().b)
+        a, b = ("II", e.a), ("I", e.type1())
         ra, rb = find(a), find(b)
         assert ra != rb, f"cycle in spanning tree at k={k}, n={n}"
         parent[ra] = rb
@@ -183,12 +189,12 @@ class TestSpanningTree:
 
     @pytest.mark.parametrize("n", range(7))
     def test_interval_star_is_all_tree(self, n):
-        assert spanning_tree(2, n) == frozenset(star_edges(2, n))
-        assert basis(2, n) == frozenset()
+        assert spanning_tree(2, n) == tuple(star_edges(2, n))
+        assert basis(2, n) == ()
 
     def test_single_vertex_level(self):
-        assert spanning_tree(3, 1) == frozenset()
-        assert type1_vertices(3, 1) == [TypeIVertex((0, 0, 0))]
+        assert spanning_tree(3, 1) == ()
+        assert type1_vertices(3, 1) == [(0, 0, 0)]
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_contains_two_arm_subcomplex(self, k, n):
@@ -199,10 +205,17 @@ class TestSpanningTree:
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_partition_of_edges(self, k, n):
-        tree = spanning_tree(k, n)
-        free = basis(k, n)
+        tree = set(spanning_tree(k, n))
+        free = set(basis(k, n))
         assert tree | free == set(star_edges(k, n))
         assert not tree & free
+
+    @pytest.mark.parametrize("k,n", ALL_KN)
+    def test_tree_and_basis_keep_edge_order(self, k, n):
+        # assemble lists generators straight from the bases, with no sort
+        assert basis(k, n) == tuple(sorted(basis(k, n)))
+        assert spanning_tree(k, n) == tuple(sorted(spanning_tree(k, n)))
+        assert len(set(basis(k, n))) == len(basis(k, n))
 
     def test_is_tree_edge_consistent(self):
         for e in star_edges(4, 3):
@@ -289,8 +302,8 @@ class TestAddStrand:
     @pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 6) for n in range(6)])
     @pytest.mark.parametrize("arm", [1, 2])
     def test_tree_to_tree_basis_to_basis(self, k, n, arm):
-        up_tree = spanning_tree(k, n + 1)
-        up_basis = basis(k, n + 1)
+        up_tree = set(spanning_tree(k, n + 1))
+        up_basis = set(basis(k, n + 1))
         for e in spanning_tree(k, n):
             assert add_strand(e, arm) in up_tree
         for e in basis(k, n):
