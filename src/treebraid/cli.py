@@ -77,11 +77,12 @@ def _write_atomic(path: Path, text: str) -> None:
 def cmd_present(args) -> int:
     tree = trees.load_tree(args.tree)
     arm_counts = trees.decompose(tree)
+    ns = _strand_range(args)    # before --out is created
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     levels = []
-    for n in _strand_range(args):
+    for n in ns:
         pres = presentation.assemble(arm_counts, n)
         if out_dir:
             _write_atomic(out_dir / f"presentation_n{n}.json", presentation.to_json(pres))
@@ -151,8 +152,9 @@ def cmd_table(args) -> int:
         raise ValueError("need 0 <= --n-min <= --n-max")
     ks = list(range(args.k_min, args.k_max + 1))
     ns = list(range(args.n_min, args.n_max + 1))
-    # every rank first, so a failure inside stars.rank prints no partial table
-    rows = [f"k={k:<2} " + " ".join(f"{stars.rank(k, n):>6}" for n in ns) for k in ks]
+    # every rank first, so a failure inside stars.rank prints no partial
+    # table; each level is read once, so its basis is not kept
+    rows = [f"k={k:<2} " + " ".join(f"{stars.rank_once(k, n):>6}" for n in ns) for k in ks]
     print("free rank of the n-strand group of a k-arm star")
     print("k\\n " + " ".join(f"{n:>6}" for n in ns))
     print("\n".join(rows))

@@ -15,10 +15,15 @@ The sums differ, so within one level a vector is never both kinds.
 Every edge of the complex joins a Type II vertex ``a`` to the Type I
 vertex obtained by sliding one strand from arm p onto the hub, so an edge
 is the pair (a, p) with a[p-1] >= 1.
-Vertices are enumerated flat, by stars and bars (``arm_vectors``), in lex
-order, and edges in (a, p) order; the vertex lists, the edges, the
-spanning tree and the basis all come out in that order, unsorted.  Type II
-vertices are the vectors with at most k - 2 empty arms.
+Arm vectors are enumerated in lex order by prefix extension: each vector
+of the (total, k) level is a prefix, a run of zeros and then a nonzero
+count f, followed by a vector of the level with total - f and the arms
+that remain.  Each level is built once per process and cached as a tuple
+of tuples; ``arm_vectors``, both vertex lists (so ``star_edges`` and
+``basis``) and ``rank_from_euler`` all read that one table.  Edges come in
+(a, p) order; the vertex lists, the edges, the spanning tree and the basis
+all come out in that order, unsorted.  Type II vertices are the vectors
+with at most k - 2 empty arms.
 
 Each non-base vertex has a canonical *successor* edge; the successor edges
 form a spanning tree of the complex, and the edges outside it are a free
@@ -29,9 +34,9 @@ which is what makes the glued presentations of whole trees stable in n.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, compress, filterfalse
+from itertools import chain, compress, filterfalse
 from math import comb
-from operator import sub
+from operator import methodcaller
 from typing import NamedTuple
 
 
@@ -64,14 +69,33 @@ class StarEdge(NamedTuple):
         return tuple(b)
 
 
-def arm_vectors(total: int, k: int):
-    """All length-k tuples of nonnegative ints summing to total, lex order:
-    stars and bars, the gaps between k - 1 nondecreasing cut points in
-    0..total, the cut points taken in lex order.  Nothing when total < 0."""
+@lru_cache(maxsize=None)
+def _vectors(total: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The level of length-k vectors of nonnegative ints summing to total,
+    in lex order, by prefix extension.  A prefix is a run of zeros and then
+    the first nonzero count f; more zeros come first, then smaller f, and
+    each prefix extends every vector of the (total - f, k - 1 - zeros)
+    level, one C-level tuple concatenation per vector.  Only levels of a
+    smaller total are read, so a wide star (k much larger than total)
+    keeps no level of its own total with fewer arms, and the recursion is
+    at most total deep."""
     if total < 0:
-        return iter(())
-    cut_points = combinations_with_replacement(range(total + 1), k - 1)
-    return (tuple(map(sub, cuts + (total,), (0,) + cuts)) for cuts in cut_points)
+        return ()
+    if k < 1:
+        raise ValueError(f"an arm vector needs k >= 1 arms, got k={k}")
+    last_arm_only = (0,) * (k - 1) + (total,)      # the prefix is the whole vector
+    extended = (
+        map(((0,) * zeros + (first,)).__add__, _vectors(total - first, k - 1 - zeros))
+        for zeros in range(k - 2, -1, -1) for first in range(1, total + 1)
+    )
+    return (last_arm_only, *chain.from_iterable(extended))
+
+
+def arm_vectors(total: int, k: int):
+    """All length-k tuples of nonnegative ints summing to total, in lex
+    order, read from the cached level (see ``_vectors``).  Nothing when
+    total < 0; ValueError when k < 1."""
+    return iter(_vectors(total, k))
 
 
 def type1_vertices(k: int, n: int) -> list[tuple[int, ...]]:
@@ -153,6 +177,11 @@ def basis(k: int, n: int) -> tuple[StarEdge, ...]:
     return tuple(filterfalse(is_tree_edge, star_edges(k, n)))
 
 
+# bound once, so that rank_once still empties this cache after the name
+# ``basis`` is rebound (a tracer or a test wrapping it)
+_clear_bases = basis.cache_clear
+
+
 def rank_closed_form(k: int, n: int) -> int:
     """1 + (k-1)*C(n+k-2, k-1) - C(n+k-1, k-1).
 
@@ -167,15 +196,17 @@ def rank_closed_form(k: int, n: int) -> int:
 def rank_from_euler(k: int, n: int) -> int:
     """1 - chi of the enumerated complex (a single point when n == 0).
 
-    Vertices are counted straight from the arm vectors, and edges as the
-    occupied arms of the Type II vertices.  No spanning tree is involved,
-    so this agrees with the basis size only if ``is_tree_edge`` keeps
-    exactly one edge per non-base vertex.
+    Vertices and edges are counted on the same cached arm-vector levels
+    that the basis enumerates: the Type I vertices are the (n - 1, k)
+    level, and each vector of the (n, k) level with at most k - 2 empty
+    arms is a Type II vertex with one edge per occupied arm.  No spanning
+    tree is involved, so this agrees with the basis size only if
+    ``is_tree_edge`` keeps exactly one edge per non-base vertex.
     """
     if n == 0:
         return 0
-    type1 = sum(1 for _ in arm_vectors(n - 1, k))
-    occupied = (k - a.count(0) for a in arm_vectors(n, k))
+    type1 = len(_vectors(n - 1, k))
+    occupied = (k - empty for empty in map(methodcaller("count", 0), _vectors(n, k)))
     type2 = [arms for arms in occupied if arms >= 2]     # occupied arms = edges
     return 1 - (type1 + len(type2) - sum(type2))
 
@@ -197,6 +228,16 @@ def rank(k: int, n: int) -> int:
             f"enumerated={enumerated}, euler={euler}, closed_form={closed}"
         )
     return enumerated
+
+
+def rank_once(k: int, n: int) -> int:
+    """``rank(k, n)`` for a caller that reads each level once and only its
+    size, such as ``treebraid table``: the basis cache is emptied after
+    the level is read, so it never holds more than the current level.
+    The arm-vector levels stay cached."""
+    size = rank(k, n)
+    _clear_bases()
+    return size
 
 
 def add_strand(edge: StarEdge, arm: int, times: int = 1) -> StarEdge:

@@ -37,6 +37,16 @@ def tree_json(tree):
     }
 
 
+# strand ranges that present and verify reject before printing or making --out
+bad_ranges = pytest.mark.parametrize("argv,message", [
+    (["--n-min", "3", "--n-max", "1"], "need 0 <= --n-min <= --n-max"),
+    (["--n-min", "-1", "--n-max", "2"], "need 0 <= --n-min <= --n-max"),
+    (["--n", "-1"], "--n must be >= 0"),
+    (["--n-min", "1"], "need --n or both --n-min and --n-max"),
+    (["--n", "2", "--n-min", "1", "--n-max", "3"], "give either --n or --n-min/--n-max, not both"),
+], ids=["reversed", "negative", "negative-n", "half-range", "n-and-range"])
+
+
 @pytest.fixture
 def tree_file(tmp_path):
     def write(data, name="tree.json"):
@@ -122,6 +132,16 @@ class TestPresent:
         code = cli.main(["present", "--tree", tree_file({**HTREE, field: value}), "--n", "2"])
         assert code == 1
         assert f"{field}: expected a JSON array" in capsys.readouterr().err
+
+    @bad_ranges
+    def test_bad_range_exits_1_before_printing(self, tree_file, tmp_path, capsys, argv, message):
+        out_dir = tmp_path / "presentations"
+        code = cli.main(["present", "--tree", tree_file(HTREE), *argv, "--out", str(out_dir)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
 
     def test_byte_identical_outputs(self, tree_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -259,13 +279,7 @@ class TestVerify:
         row = capsys.readouterr().out.splitlines()[1]
         assert row == "  4     12      1      0     12      -    -     PASS"
 
-    @pytest.mark.parametrize("argv,message", [
-        (["--n-min", "3", "--n-max", "1"], "need 0 <= --n-min <= --n-max"),
-        (["--n-min", "-1", "--n-max", "2"], "need 0 <= --n-min <= --n-max"),
-        (["--n", "-1"], "--n must be >= 0"),
-        (["--n-min", "1"], "need --n or both --n-min and --n-max"),
-        (["--n", "2", "--n-min", "1", "--n-max", "3"], "give either --n or --n-min/--n-max, not both"),
-    ], ids=["reversed", "negative", "negative-n", "half-range", "n-and-range"])
+    @bad_ranges
     def test_bad_range_exits_1_before_printing(self, tree_file, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "reports"
         code = cli.main(["verify", "--tree", tree_file(HTREE), *argv, "--out", str(out_dir)])

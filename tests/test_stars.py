@@ -1,5 +1,6 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
+from operator import sub
 
 import pytest
 
@@ -19,6 +20,7 @@ from treebraid.stars import (
     rank,
     rank_closed_form,
     rank_from_euler,
+    rank_once,
     spanning_tree,
     star_edges,
     type1_successor,
@@ -35,11 +37,48 @@ def brute_vectors(total, k):
     return sorted(t for t in product(range(total + 1), repeat=k) if sum(t) == total)
 
 
+def stars_and_bars(total, k):
+    """Oracle: the gaps between k - 1 nondecreasing cut points in 0..total,
+    the cut points in lex order; nothing when total < 0."""
+    if total < 0:
+        return []
+    cut_points = combinations_with_replacement(range(total + 1), k - 1)
+    return [tuple(map(sub, cuts + (total,), (0,) + cuts)) for cuts in cut_points]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_arm_vectors_in_lex_order(self, k):
         for total in range(-1, 8):
             assert list(arm_vectors(total, k)) == brute_vectors(total, k), total
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_arm_vectors_against_stars_and_bars(self, k):
+        for total in range(-1, 10):
+            assert list(arm_vectors(total, k)) == stars_and_bars(total, k), total
+
+    @pytest.mark.parametrize("total", [0, 3])
+    def test_arm_vectors_need_an_arm(self, total):
+        # a ValueError, as stars and bars raised, not a RecursionError
+        with pytest.raises(ValueError, match="k >= 1"):
+            arm_vectors(total, 0)
+
+    def test_a_wide_star_keeps_only_smaller_totals(self, request):
+        # 1,200 arms and one strand: beside its own level, only the zero
+        # vectors of 1..1,199 arms, and no recursion 1,200 calls deep
+        stars._vectors.cache_clear()
+        request.addfinalizer(stars._vectors.cache_clear)
+        assert len(list(arm_vectors(1, 1200))) == 1200
+        assert stars._vectors.cache_info().currsize == 1200
+
+    @pytest.mark.parametrize("vertices", [type1_vertices, type2_vertices])
+    def test_vertex_lists_are_fresh(self, vertices):
+        # the lists are built over the cached levels; changing one must not
+        # change the next caller's
+        expect = vertices(4, 3)
+        got = vertices(4, 3)
+        got.clear()
+        assert vertices(4, 3) == expect != []
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_star_edges_in_edge_order(self, k, n):
@@ -272,6 +311,47 @@ class TestRank:
         request.addfinalizer(basis.cache_clear)
         assert rank_from_euler(3, 4) == rank_closed_form(3, 4)
         with pytest.raises(RankMismatchError):
+            rank(3, 4)
+
+    def test_each_vector_level_is_built_once(self, request):
+        basis.cache_clear()
+        stars._vectors.cache_clear()
+        request.addfinalizer(basis.cache_clear)
+        for k, n in ALL_KN:
+            rank(k, n)
+        # the levels rank asks for, (n, k) and (n - 1, k), and the levels of
+        # a smaller total and fewer arms that prefix extension reads below
+        # them: of those, only the one-arm levels were not asked for
+        levels = {(total, arms) for total in range(7) for arms in range(2, 6)}
+        levels |= {(total, 1) for total in range(6)}
+        assert stars._vectors.cache_info().misses == len(levels)
+        for k, n in ALL_KN:
+            rank_from_euler(k, n)
+        assert stars._vectors.cache_info().misses == len(levels)
+
+    def test_rank_once_keeps_no_basis(self):
+        assert rank_once(3, 4) == rank(3, 4) == 6
+        rank_once(4, 5)
+        assert basis.cache_info().currsize == 0
+
+    def test_a_vector_missing_from_the_shared_level_is_caught(self, monkeypatch, request):
+        # basis and Euler count read the same level, so both lose the vector
+        # (0, 1, 3) and its basis edge (p=2); only the closed form still
+        # counts it
+        real = stars._vectors
+
+        def sabotaged(total, k):
+            level = real(total, k)
+            return tuple(v for v in level if v != (0, 1, 3)) if (total, k) == (4, 3) else level
+
+        monkeypatch.setattr(stars, "_vectors", sabotaged)
+        basis.cache_clear()
+        real.cache_clear()
+        request.addfinalizer(basis.cache_clear)
+        request.addfinalizer(real.cache_clear)
+        assert len(basis(3, 4)) == rank_from_euler(3, 4) == 5
+        assert rank_closed_form(3, 4) == 6
+        with pytest.raises(RankMismatchError, match="enumerated=5, euler=5, closed_form=6"):
             rank(3, 4)
 
     @pytest.mark.parametrize("k,n", [(0, 3), (1, 3), (-1, 2), (3, -1), (2, -5)])
