@@ -14,15 +14,19 @@ pairs.
 
 Vertex ids are interned to integers (rank in sorted id order), so cells
 are plain int tuples and the lexicographic cell order is reproducible.
+
+``betti`` is one pass from the top dimension down.  Each boundary_d is
+built once, as flat face rows found through integer cell keys; it is
+checked against boundary_{d+1} (boundary^2 == 0, exactly) before it is
+reduced, so every clearing step rests on a product already checked.
 """
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations
+from itertools import combinations, compress, cycle
 from math import comb
 from typing import NamedTuple
 
-from .homology import SparseIntMatrix, chain_homology, rank_and_factors
+from .homology import SparseIntMatrix, chain_homology
 from .trees import Tree, bfs_parents, subdivide_edges
 
 DEFAULT_CELL_CAP = 5_000_000
@@ -39,10 +43,6 @@ class ResourceCapError(RuntimeError):
         self.cap = cap
 
 
-class DisconnectedComplexError(RuntimeError):
-    """The 1-skeleton is not connected."""
-
-
 class BoundarySquareError(AssertionError):
     """Some boundary of a boundary is not exactly zero."""
 
@@ -57,14 +57,27 @@ class CubeComplex(NamedTuple):
         return [len(layer) for layer in self.cells]
 
 
+# the sign of the face in each column position: axis p // 2, upper endpoint
+# at even p, so +(-1)^i and -(-1)^i for axis i
+_SIGNS = (1, -1, -1, 1, 1, -1)
+
+
 class BoundaryMatrix(NamedTuple):
-    """Signed incidence of d-cells (columns) on (d-1)-cells (rows)."""
+    """Signed incidence of d-cells (columns) on (d-1)-cells (rows): column j
+    is rows[2d*j : 2d*(j+1)], its entry at position p has sign _SIGNS[p]."""
 
     nrows: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]   # per column: ((row, sign), ...)
+    d: int
+    rows: list[int]
 
-    def to_sparse(self) -> SparseIntMatrix:
-        return SparseIntMatrix.from_columns(self.nrows, self.columns)
+    def to_sparse(self, skip=frozenset()) -> SparseIntMatrix:
+        """The columns whose index is not in skip, renumbered in order."""
+        width = 2 * self.d
+        keep = [True] * (len(self.rows) // width)
+        for j in skip:
+            keep[j] = False
+        entries = zip(self.rows, cycle(_SIGNS[:width]))
+        return SparseIntMatrix.from_columns(self.nrows, compress(zip(*[entries] * width), keep))
 
 
 class HomologyReport(NamedTuple):
@@ -154,8 +167,7 @@ def build_complex(
         raise ValueError(f"strand count must be >= 0, got {n}")
     if not 1 <= d_max <= 3:
         raise ValueError(f"d_max must be 1..3, got {d_max}")
-    ids = tree.vertices            # already sorted
-    nv = len(ids)
+    nv = len(tree.vertices)
     if n > nv:
         raise ValueError(f"cannot place {n} strands on {nv} vertices")
     worst = max(layer_sizes(tree, n, d_max))
@@ -165,8 +177,7 @@ def build_complex(
             cells=worst, cap=cell_cap,
         )
 
-    pos = {v: i for i, v in enumerate(ids)}
-    edges = tuple(sorted((pos[u], pos[w]) for u, w in tree.edges))
+    edges = _interned_edges(tree)
     masks = [(1 << u) | (1 << w) for u, w in edges]
 
     layers: list[tuple[Cell, ...]] = []
@@ -184,67 +195,129 @@ def build_complex(
     return CubeComplex(tree=tree, n=n, d_max=d_max, cells=tuple(layers))
 
 
-def cell_faces(cell: Cell) -> list[tuple[Cell, int]]:
-    """Codimension-1 faces with signs: axis i (the i-th smallest edge)
-    contributes +/-(-1)^i for its upper/lower endpoint.  Edges are oriented
-    from the smaller to the larger interned id.
-    """
-    edges, verts = cell
-    out = []
-    for i, (u, w) in enumerate(edges):
-        rest = edges[:i] + edges[i + 1:]
-        sign = -1 if i % 2 else 1
-        out.append(((rest, tuple(sorted(verts + (w,)))), sign))
-        out.append(((rest, tuple(sorted(verts + (u,)))), -sign))
-    return out
+def _interned_edges(tree: Tree) -> tuple[tuple[int, int], ...]:
+    """The edges as (smaller, larger) interned ids, in sorted order."""
+    pos = {v: i for i, v in enumerate(tree.vertices)}
+    return tuple(sorted((pos[u], pos[w]) for u, w in tree.edges))
 
 
-def boundary_matrix(cx: CubeComplex, d: int, skip=frozenset()) -> BoundaryMatrix:
-    """Boundary of the d-cells, in cell order, leaving out the column of
-    every d-cell whose index is in skip.  Rows keep the (d-1)-cell indices.
+def _keys(cells, vertex_bit, edge_bit):
+    """The integer key of each cell, in order: its vertex bits plus its
+    edge bits."""
+    for edges, verts in cells:
+        key = 0
+        for v in verts:
+            key += vertex_bit[v]
+        for e in edges:
+            key += edge_bit[e]
+        yield key
+
+
+def boundary_matrix(cx: CubeComplex, d: int) -> BoundaryMatrix:
+    """Boundary of the d-cells, in cell order.  Axis i (the i-th smallest
+    edge) of a cell contributes the faces at its upper, then its lower
+    endpoint, edges being oriented from the smaller to the larger interned
+    id; ``_SIGNS`` gives their signs.  A face is found by its integer key:
+    dropping edge (u, w) for endpoint x changes a cell's key by a constant
+    of the edge and x, so no face is built as a tuple.
     """
     if not 1 <= d <= cx.d_max:
         raise ValueError(f"dimension must be 1..{cx.d_max}, got {d}")
-    index = {cell: i for i, cell in enumerate(cx.cells[d - 1])}
-    columns = tuple(
-        tuple((index[face], sign) for face, sign in cell_faces(cell))
-        for j, cell in enumerate(cx.cells[d])
-        if j not in skip
-    )
-    return BoundaryMatrix(nrows=len(cx.cells[d - 1]), columns=columns)
+    nv = len(cx.tree.vertices)
+    vertex_bit = [1 << v for v in range(nv)]
+    edge_bit = {e: 1 << (nv + i) for i, e in enumerate(_interned_edges(cx.tree))}
+    # per edge, the key change of its (upper, lower) face
+    shift = {(u, w): (vertex_bit[w] - bit, vertex_bit[u] - bit) for (u, w), bit in edge_bit.items()}
+    lower, cells = cx.cells[d - 1], cx.cells[d]
+    index = dict(zip(_keys(lower, vertex_bit, edge_bit), range(len(lower))))
+    rows: list[int] = []
+    append = rows.append
+    for (edges, _), key in zip(cells, _keys(cells, vertex_bit, edge_bit)):
+        for e in edges:
+            up, low = shift[e]
+            append(index[key + up])
+            append(index[key + low])
+    return BoundaryMatrix(len(lower), d, rows)
+
+
+def _face_pairs(d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The faces of faces of a (d+1)-cell in pairs that name the same
+    (d-1)-cell: position p of the cell's column, then position q of that
+    face's column.  Dropping axes a < b for endpoints e and f goes through
+    (2a + e, 2(b - 1) + f) and through (2b + f, 2a + e)."""
+    return [((2 * a + e, 2 * (b - 1) + f), (2 * b + f, 2 * a + e))
+            for a in range(d + 1) for b in range(a + 1, d + 1) for e in (0, 1) for f in (0, 1)]
+
+
+def _check_pair(cx: CubeComplex, lower: BoundaryMatrix, upper: BoundaryMatrix) -> None:
+    """Raise unless lower * upper == 0 exactly, for lower = boundary_d and
+    upper = boundary_{d+1}, on the rows as they are stored.
+
+    Every pair of ``_face_pairs`` has opposite signs, so the product is
+    zero if both of each pair name the same row; that is compared for all
+    columns at once.  Should it fail, each column of upper is summed
+    through the columns of lower, and the first nonzero sum is reported.
+    """
+    d = lower.d
+    width, sub_width = 2 * d + 2, 2 * d
+    sub_rows = lower.rows
+
+    def entries(p, q):
+        """Entry q of the column of face p, for every (d+1)-cell in order."""
+        return list(map(sub_rows[q::sub_width].__getitem__, upper.rows[p::width]))
+
+    if all(entries(*first) == entries(*second) for first, second in _face_pairs(d)):
+        return
+    for j, start in enumerate(range(0, len(upper.rows), width)):
+        acc: dict[int, int] = {}
+        for row, sign in zip(upper.rows[start:start + width], _SIGNS):
+            for sub, sub_sign in zip(sub_rows[row * sub_width:(row + 1) * sub_width], _SIGNS):
+                acc[sub] = acc.get(sub, 0) + sign * sub_sign
+        bad = {cx.cells[d - 1][k]: v for k, v in acc.items() if v}
+        if bad:
+            raise BoundarySquareError(f"boundary^2 != 0 on {cx.cells[d + 1][j]}: {bad}")
+
+
+def _checked_boundaries(cx: CubeComplex):
+    """Yield boundary_d for each nonempty dimension d, from the top down,
+    each once boundary_d * boundary_{d+1} == 0 is checked.  Only the matrix
+    of the step above is kept; an empty layer leaves nothing to check."""
+    above = None
+    for d in range(cx.d_max, 0, -1):
+        if not cx.cells[d]:
+            above = None
+            continue
+        matrix = boundary_matrix(cx, d)
+        if above is not None:
+            _check_pair(cx, matrix, above)
+        above = matrix
+        yield matrix
 
 
 def check_boundary_squares_to_zero(cx: CubeComplex) -> None:
-    """Assert boundary_d * boundary_{d+1} == 0 exactly, in every dimension.
-
-    The products are taken over the integer columns of ``boundary_matrix``,
-    the matrices ``betti`` reduces, row indices included.  From the top
-    down, each column of boundary_{d+1} is summed through the columns of
-    boundary_d, which are then carried up for the next step, so every
-    cell's faces are computed once.
-    """
-    above = ()
-    for d in range(cx.d_max, 0, -1):
-        columns = boundary_matrix(cx, d).columns
-        for j, column in enumerate(above):
-            acc: dict[int, int] = {}
-            for row, sign in column:
-                for sub, sub_sign in columns[row]:
-                    acc[sub] = acc.get(sub, 0) + sign * sub_sign
-            bad = {cx.cells[d - 1][k]: v for k, v in acc.items() if v}
-            if bad:
-                raise BoundarySquareError(f"boundary^2 != 0 on {cx.cells[d + 1][j]}: {bad}")
-        above = columns
+    """Assert boundary_d * boundary_{d+1} == 0 exactly, in every dimension,
+    on the matrices ``boundary_matrix`` builds, each built once."""
+    for _ in _checked_boundaries(cx):
+        pass
 
 
 def betti(cx: CubeComplex) -> HomologyReport:
     """Exact Betti numbers b_0..b_{d_max-1} and the torsion of each H_d,
-    reduced by ``homology.chain_homology`` with clearing.
+    reduced by ``homology.chain_homology`` with clearing, in one pass from
+    the top down: each boundary_d is built once, checked against the
+    boundary_{d+1} of the step before, and only then reduced with the
+    columns cleared by that step.  A failed check raises, so no report is
+    returned unless boundary^2 == 0 held throughout.
     """
     counts = cx.cell_counts()
-    return HomologyReport(tuple(counts), *chain_homology(
-        counts, lambda d, skip: boundary_matrix(cx, d, skip).to_sparse()
-    ))
+    boundaries = _checked_boundaries(cx)
+
+    def boundary(d, skip):
+        matrix = next(boundaries)
+        assert matrix.d == d, (matrix.d, d)
+        return matrix.to_sparse(skip)
+
+    return HomologyReport(tuple(counts), *chain_homology(counts, boundary))
 
 
 def oracle_report(
@@ -262,96 +335,7 @@ def oracle_report(
         raise ValueError(
             f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
         )
-    cx = build_complex(subdivide_edges(tree, parts), n, d_max=d_max, cell_cap=cell_cap)
-    check_boundary_squares_to_zero(cx)
-    return betti(cx)
-
-
-class Pi1Presentation(NamedTuple):
-    """Spanning-tree presentation of the fundamental group of the 1-skeleton
-    modulo the squares: generators are the non-tree 1-cells, one relator
-    word (length <= 4 after tree elision) per 2-cell.
-    """
-
-    generator_count: int
-    relators: tuple[tuple[tuple[int, int], ...], ...]   # ((gen index, exponent), ...)
-
-    def abelianized_rank(self) -> int:
-        """Rank of the abelianized group: generators minus relator-matrix rank."""
-        columns = []
-        for word in self.relators:
-            acc: dict[int, int] = {}
-            for gen, exp in word:
-                acc[gen] = acc.get(gen, 0) + exp
-            col = [(gen, v) for gen, v in sorted(acc.items()) if v]
-            columns.append(col)
-        sparse = SparseIntMatrix.from_columns(self.generator_count, columns)
-        r, _ = rank_and_factors(sparse)
-        return self.generator_count - r
-
-
-def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
-    """Presentation read off the 1-skeleton and the squares.
-
-    The spanning tree is breadth-first from the lexicographically least
-    0-cell, visiting 1-cells in cell order.  Each square contributes the
-    word of its boundary loop walked lower-corner -> first axis -> second
-    axis -> back, with tree edges elided.
-    """
-    if cx.d_max < 2:
-        raise ValueError("pi1 needs cells up to dimension 2")
-    zero_index = {cell: i for i, cell in enumerate(cx.cells[0])}
-    one_cells = cx.cells[1]
-
-    # oriented 1-cells: tail = lower endpoint face, head = upper
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in cx.cells[0]]
-    for j, (edges, verts) in enumerate(one_cells):
-        (u, w) = edges[0]
-        tail = zero_index[((), tuple(sorted(verts + (u,))))]
-        head = zero_index[((), tuple(sorted(verts + (w,))))]
-        adjacency[tail].append((head, j, +1))
-        adjacency[head].append((tail, j, -1))
-
-    n_zero = len(cx.cells[0])
-    visited = [False] * n_zero
-    in_tree = [False] * len(one_cells)
-    if n_zero:
-        visited[0] = True
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y, j, _ in adjacency[x]:
-                if not visited[y]:
-                    visited[y] = True
-                    in_tree[j] = True
-                    queue.append(y)
-    if not all(visited):
-        missing = visited.count(False)
-        raise DisconnectedComplexError(
-            f"disconnected: {missing} of {n_zero} 0-cells unreachable"
-        )
-
-    gen_index = {}
-    for j, tree_flag in enumerate(in_tree):
-        if not tree_flag:
-            gen_index[j] = len(gen_index)
-
-    one_index = {cell: j for j, cell in enumerate(one_cells)}
-    relators = []
-    for (e1, e2), verts in cx.cells[2]:
-        (u1, w1) = e1
-        (u2, w2) = e2
-        side = [
-            (one_index[((e1,), tuple(sorted(verts + (u2,))))], +1),
-            (one_index[((e2,), tuple(sorted(verts + (w1,))))], +1),
-            (one_index[((e1,), tuple(sorted(verts + (w2,))))], -1),
-            (one_index[((e2,), tuple(sorted(verts + (u1,))))], -1),
-        ]
-        word = tuple(
-            (gen_index[j], exp) for j, exp in side if not in_tree[j]
-        )
-        relators.append(word)
-    return Pi1Presentation(generator_count=len(gen_index), relators=tuple(relators))
+    return betti(build_complex(subdivide_edges(tree, parts), n, d_max=d_max, cell_cap=cell_cap))
 
 
 def raag_clique_counts(pres) -> tuple[int, int, int]:

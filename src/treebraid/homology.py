@@ -12,7 +12,7 @@ pivot growth can never overflow.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from heapq import heapify, heappop, heappush
 
 
@@ -35,10 +35,11 @@ class SparseIntMatrix:
 
     @classmethod
     def from_columns(cls, nrows: int,
-                     columns: Sequence[Sequence[tuple[int, int]]]) -> "SparseIntMatrix":
-        m = cls(nrows, len(columns))
+                     columns: Iterable[Iterable[tuple[int, int]]]) -> "SparseIntMatrix":
+        m = cls(nrows, 0)
         rows = m.rows
         cols = m.cols
+        c = -1
         for c, column in enumerate(columns):
             for r, v in column:
                 if v == 0:
@@ -53,6 +54,7 @@ class SparseIntMatrix:
                 if col is None:
                     col = cols[c] = set()
                 col.add(r)
+        m.ncols = c + 1
         return m
 
     def entry_count(self) -> int:
@@ -271,6 +273,7 @@ def chain_homology(
         ranks[d - 1] = r
         torsion[d - 1] = tuple(factors)
         cleared = set(sparse.pivot_rows)
+        del sparse      # free its emptied tables before the next boundary is built
     # ranks[d] is the rank of boundary_{d+1}, and torsion[d], the torsion of
     # boundary_{d+1}, is that of H_d
     bettis = tuple(counts[d] - (ranks[d - 1] if d else 0) - ranks[d] for d in range(top))

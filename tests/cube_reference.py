@@ -1,0 +1,115 @@
+"""Test-side companions of ``treebraid.cubes``: the tuple-based face rule
+the flat boundary rows are checked against, and a spanning-tree
+presentation of the fundamental group of the 2-skeleton, whose
+abelianization is checked against b_1.  Neither is needed by a command."""
+from collections import deque
+from typing import NamedTuple
+
+from treebraid.cubes import Cell, CubeComplex
+from treebraid.homology import SparseIntMatrix, rank_and_factors
+
+
+def cell_faces(cell: Cell) -> list[tuple[Cell, int]]:
+    """Codimension-1 faces with signs: axis i (the i-th smallest edge)
+    contributes +/-(-1)^i for its upper/lower endpoint.  Edges are oriented
+    from the smaller to the larger interned id.
+    """
+    edges, verts = cell
+    out = []
+    for i, (u, w) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        sign = -1 if i % 2 else 1
+        out.append(((rest, tuple(sorted(verts + (w,)))), sign))
+        out.append(((rest, tuple(sorted(verts + (u,)))), -sign))
+    return out
+
+
+class DisconnectedComplexError(RuntimeError):
+    """The 1-skeleton is not connected."""
+
+
+class Pi1Presentation(NamedTuple):
+    """Spanning-tree presentation of the fundamental group of the 1-skeleton
+    modulo the squares: generators are the non-tree 1-cells, one relator
+    word (length <= 4 after tree elision) per 2-cell.
+    """
+
+    generator_count: int
+    relators: tuple[tuple[tuple[int, int], ...], ...]   # ((gen index, exponent), ...)
+
+    def abelianized_rank(self) -> int:
+        """Rank of the abelianized group: generators minus relator-matrix rank."""
+        columns = []
+        for word in self.relators:
+            acc: dict[int, int] = {}
+            for gen, exp in word:
+                acc[gen] = acc.get(gen, 0) + exp
+            col = [(gen, v) for gen, v in sorted(acc.items()) if v]
+            columns.append(col)
+        sparse = SparseIntMatrix.from_columns(self.generator_count, columns)
+        r, _ = rank_and_factors(sparse)
+        return self.generator_count - r
+
+
+def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
+    """Presentation read off the 1-skeleton and the squares.
+
+    The spanning tree is breadth-first from the lexicographically least
+    0-cell, visiting 1-cells in cell order.  Each square contributes the
+    word of its boundary loop walked lower-corner -> first axis -> second
+    axis -> back, with tree edges elided.
+    """
+    if cx.d_max < 2:
+        raise ValueError("pi1 needs cells up to dimension 2")
+    zero_index = {cell: i for i, cell in enumerate(cx.cells[0])}
+    one_cells = cx.cells[1]
+
+    # oriented 1-cells: tail = lower endpoint face, head = upper
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in cx.cells[0]]
+    for j, (edges, verts) in enumerate(one_cells):
+        (u, w) = edges[0]
+        tail = zero_index[((), tuple(sorted(verts + (u,))))]
+        head = zero_index[((), tuple(sorted(verts + (w,))))]
+        adjacency[tail].append((head, j, +1))
+        adjacency[head].append((tail, j, -1))
+
+    n_zero = len(cx.cells[0])
+    visited = [False] * n_zero
+    in_tree = [False] * len(one_cells)
+    if n_zero:
+        visited[0] = True
+        queue = deque([0])
+        while queue:
+            x = queue.popleft()
+            for y, j, _ in adjacency[x]:
+                if not visited[y]:
+                    visited[y] = True
+                    in_tree[j] = True
+                    queue.append(y)
+    if not all(visited):
+        missing = visited.count(False)
+        raise DisconnectedComplexError(
+            f"disconnected: {missing} of {n_zero} 0-cells unreachable"
+        )
+
+    gen_index = {}
+    for j, tree_flag in enumerate(in_tree):
+        if not tree_flag:
+            gen_index[j] = len(gen_index)
+
+    one_index = {cell: j for j, cell in enumerate(one_cells)}
+    relators = []
+    for (e1, e2), verts in cx.cells[2]:
+        (u1, w1) = e1
+        (u2, w2) = e2
+        side = [
+            (one_index[((e1,), tuple(sorted(verts + (u2,))))], +1),
+            (one_index[((e2,), tuple(sorted(verts + (w1,))))], +1),
+            (one_index[((e1,), tuple(sorted(verts + (w2,))))], -1),
+            (one_index[((e2,), tuple(sorted(verts + (u1,))))], -1),
+        ]
+        word = tuple(
+            (gen_index[j], exp) for j, exp in side if not in_tree[j]
+        )
+        relators.append(word)
+    return Pi1Presentation(generator_count=len(gen_index), relators=tuple(relators))

@@ -491,15 +491,21 @@ class TestInternalErrors:
         assert "error: rank disagreement" in capsys.readouterr().err
 
     def test_boundary_square_failure_exits_3(self, tree_file, capsys, monkeypatch):
-        real = cubes.cell_faces
+        # the oracle's own pass catches a wrong row in boundary_1 or
+        # boundary_2; the standalone check is not what runs
+        real = cubes.boundary_matrix
+        monkeypatch.setattr(cubes, "check_boundary_squares_to_zero", None)
+        for d in (1, 2):
+            def misindexed(cx, dim, d=d):
+                m = real(cx, dim)
+                if dim == d:
+                    m.rows[0] = (m.rows[0] + 1) % m.nrows
+                return m
 
-        def unsigned_faces(cell):
-            return [(face, 1) for face, _ in real(cell)]
-
-        monkeypatch.setattr(cubes, "cell_faces", unsigned_faces)
-        code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"])
-        assert code == 3
-        assert "error: boundary^2 != 0" in capsys.readouterr().err
+            monkeypatch.setattr(cubes, "boundary_matrix", misindexed)
+            code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"])
+            assert code == 3, d
+            assert "error: boundary^2 != 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shift", [
         lambda edge, arm, times=1: edge,

@@ -4,27 +4,51 @@ import pytest
 
 from treebraid import cubes, presentation, trees
 from treebraid.cubes import (
+    BoundaryMatrix,
+    BoundarySquareError,
     CubeComplex,
-    DisconnectedComplexError,
     ResourceCapError,
     betti,
     boundary_matrix,
     build_complex,
-    cell_faces,
     check_boundary_squares_to_zero,
     layer_sizes,
     oracle_report,
-    pi1_presentation,
     raag_clique_counts,
 )
 from treebraid.homology import rank_and_factors
 
 from conftest import tree_from_edges
+from cube_reference import DisconnectedComplexError, cell_faces, pi1_presentation
+
+FIXTURE_TREES = ["interval", "tripod", "star4", "htree", "caterpillar3", "caterpillar5", "spider"]
 
 
 def path_tree(edges_count):
     labels = [str(i) for i in range(edges_count + 1)]
     return tree_from_edges(list(zip(labels, labels[1:])), "0")
+
+
+def columns(m):
+    """The columns of a BoundaryMatrix as ((row, sign), ...) tuples."""
+    width = 2 * m.d
+    return [
+        tuple(zip(m.rows[start:start + width], cubes._SIGNS))
+        for start in range(0, len(m.rows), width)
+    ]
+
+
+def misindexing(real, bad_d):
+    """boundary_matrix, but the first entry of column 0 of boundary_bad_d
+    names the next row."""
+
+    def misindexed(cx, d):
+        m = real(cx, d)
+        if d == bad_d:
+            m.rows[0] = (m.rows[0] + 1) % m.nrows
+        return m
+
+    return misindexed
 
 
 class TestBuild:
@@ -108,47 +132,83 @@ class TestBoundary:
             check_boundary_squares_to_zero(cx)
 
     def test_check_reads_the_boundary_matrices(self, htree, monkeypatch):
-        # one entry of one boundary_2 column points at the wrong row
+        # one entry of one boundary_d column points at the wrong row
         cx = build_complex(trees.subdivide_edges(htree, 2), 3, d_max=3)
         real = cubes.boundary_matrix
-
-        def misindexed(cx, d, skip=frozenset()):
-            m = real(cx, d, skip)
-            if d != 2:
-                return m
-            (row, sign), *rest = m.columns[0]
-            first = (((row + 1) % m.nrows, sign), *rest)
-            return cubes.BoundaryMatrix(m.nrows, (first, *m.columns[1:]))
-
-        monkeypatch.setattr(cubes, "boundary_matrix", misindexed)
-        with pytest.raises(cubes.BoundarySquareError, match=r"boundary\^2 != 0 on "):
-            check_boundary_squares_to_zero(cx)
+        for bad_d in (1, 2, 3):
+            monkeypatch.setattr(cubes, "boundary_matrix", misindexing(real, bad_d))
+            with pytest.raises(BoundarySquareError, match=r"boundary\^2 != 0 on "):
+                check_boundary_squares_to_zero(cx)
 
     def test_check_takes_one_face_pass_per_cell(self, htree, monkeypatch):
+        # each boundary is built once per check and once per oracle_report,
+        # and only for the dimensions that have cells
         cx = build_complex(trees.subdivide_edges(htree, 2), 3, d_max=3)
         calls = []
-        real = cubes.cell_faces
-
-        def counting(cell):
-            calls.append(cell)
-            return real(cell)
-
-        monkeypatch.setattr(cubes, "cell_faces", counting)
+        real = cubes.boundary_matrix
+        monkeypatch.setattr(cubes, "boundary_matrix", lambda cx, d: calls.append(d) or real(cx, d))
         check_boundary_squares_to_zero(cx)
-        assert len(calls) == sum(cx.cell_counts()[1:]) == 360 + 238 + 48
+        assert calls == [3, 2, 1]
+        for n, built in [(0, []), (1, [1]), (2, [2, 1]), (3, [3, 2, 1])]:
+            calls.clear()
+            oracle_report(htree, n, 3, parts=2)
+            assert calls == built, n
 
     def test_column_signs_sum_to_zero_in_dim1(self):
         cx = build_complex(path_tree(3), 2, d_max=2)
         m = boundary_matrix(cx, 1)
-        for col in m.columns:
-            assert sorted(sign for _, sign in col) == [-1, 1]
+        assert len(m.rows) == 2 * len(cx.cells[1])
+        for col in columns(m):
+            assert [sign for _, sign in col] == [1, -1]
 
     def test_square_boundary_has_four_faces(self):
         cx = build_complex(path_tree(3), 2, d_max=2)
         m = boundary_matrix(cx, 2)
-        (col,) = m.columns
+        (col,) = columns(m)
         assert len(col) == 4
-        assert sorted(sign for _, sign in col) == [-1, -1, 1, 1]
+        assert [sign for _, sign in col] == [1, -1, -1, 1]
+
+    @pytest.mark.parametrize("name", FIXTURE_TREES)
+    def test_rows_and_signs_are_the_reference_faces(self, name, request):
+        tree = request.getfixturevalue(name)
+        for n in range(4):
+            cx = build_complex(trees.subdivide_edges(tree, max(1, n - 1)), n, d_max=3)
+            for d in range(1, 4):
+                m = boundary_matrix(cx, d)
+                assert m.nrows == len(cx.cells[d - 1]) and m.d == d
+                index = {cell: i for i, cell in enumerate(cx.cells[d - 1])}
+                want = [
+                    tuple((index[face], sign) for face, sign in cell_faces(cell))
+                    for cell in cx.cells[d]
+                ]
+                assert columns(m) == want, (n, d)
+
+    def test_face_pairs_cancel(self):
+        # the pairs the check compares name each face of a face once, and
+        # their two signs are opposite
+        for d in (1, 2):
+            pairs = cubes._face_pairs(d)
+            positions = [pos for pair in pairs for pos in pair]
+            assert sorted(positions) == [(p, q) for p in range(2 * d + 2) for q in range(2 * d)]
+            for (p, q), (p2, q2) in pairs:
+                assert cubes._SIGNS[p] * cubes._SIGNS[q] == -cubes._SIGNS[p2] * cubes._SIGNS[q2]
+
+    def test_check_sums_when_the_pairs_differ(self, monkeypatch):
+        # the square's boundary with its two vertical sides swapped still
+        # has boundary^2 == 0, though not face for face in the usual pairs
+        cx = build_complex(path_tree(3), 2, d_max=2)
+        real = cubes.boundary_matrix
+
+        def swapped(cx, d):
+            m = real(cx, d)
+            if d == 2:
+                up, low = m.rows[0], m.rows[1]
+                m.rows[0], m.rows[1] = m.rows[3], m.rows[2]
+                m.rows[3], m.rows[2] = up, low
+            return m
+
+        monkeypatch.setattr(cubes, "boundary_matrix", swapped)
+        check_boundary_squares_to_zero(cx)
 
     def test_bad_dimension(self):
         cx = build_complex(path_tree(3), 2, d_max=2)
@@ -157,12 +217,24 @@ class TestBoundary:
 
     def test_skip_leaves_out_columns(self):
         cx = build_complex(path_tree(3), 2, d_max=2)
-        full = boundary_matrix(cx, 1)
-        part = boundary_matrix(cx, 1, skip={0, 2})
-        assert part.nrows == full.nrows
-        assert part.columns == tuple(
-            col for j, col in enumerate(full.columns) if j not in (0, 2)
-        )
+        m = boundary_matrix(cx, 1)
+        full, part = m.to_sparse(), m.to_sparse(skip={0, 2})
+        assert (part.nrows, part.ncols) == (full.nrows, full.ncols - 2) == (6, 4)
+        kept = [col for j, col in enumerate(columns(m)) if j not in (0, 2)]
+        assert {r: row for r, row in part.rows.items()} == {
+            r: {c: v for c, col in enumerate(kept) for rr, v in col if rr == r}
+            for r in {r for col in kept for r, _ in col}
+        }
+
+    def test_to_sparse_shares_one_int_per_row(self, htree):
+        cx = build_complex(trees.subdivide_edges(htree, 2), 3, d_max=3)
+        sparse = boundary_matrix(cx, 2).to_sparse()
+        first = {}
+        for c, rows in sparse.cols.items():
+            for r in rows:
+                assert first.setdefault(r, r) is r
+        for r in sparse.rows:
+            assert first[r] is r
 
 
 class TestBetti:
@@ -214,14 +286,42 @@ class TestOracleReport:
             oracle_report(tripod, 3, parts=1)
 
     def test_boundary_is_checked_before_betti(self, tripod, monkeypatch):
-        calls = []
-        for name in ("check_boundary_squares_to_zero", "betti"):
-            real = getattr(cubes, name)
-            monkeypatch.setattr(
-                cubes, name, lambda cx, _real=real, _name=name: calls.append(_name) or _real(cx)
-            )
+        # a wrong row in boundary_2 stops the report: no Betti number is
+        # returned, and boundary_1, whose clearing rests on
+        # boundary_1 * boundary_2 == 0, is never reduced
         assert oracle_report(tripod, 2, parts=3).betti == (1, 1, 0)
-        assert calls == ["check_boundary_squares_to_zero", "betti"]
+        reduced = []
+        real_sparse = BoundaryMatrix.to_sparse
+        monkeypatch.setattr(
+            BoundaryMatrix, "to_sparse",
+            lambda m, skip=frozenset(): reduced.append(m.d) or real_sparse(m, skip),
+        )
+        monkeypatch.setattr(cubes, "boundary_matrix", misindexing(cubes.boundary_matrix, 2))
+        with pytest.raises(BoundarySquareError, match=r"boundary\^2 != 0 on "):
+            oracle_report(tripod, 2, parts=3)
+        assert reduced == [2]
+
+    @pytest.mark.parametrize("n,d_max", [(2, 3), (2, 2), (3, 3)])
+    def test_every_pair_below_an_empty_top_is_checked(self, tripod, monkeypatch, n, d_max):
+        # at n=2 and --dmax 3 there are no 3-cells; boundary_1 * boundary_2
+        # is still checked, so a wrong row in boundary_1 raises
+        real = cubes.boundary_matrix
+        monkeypatch.setattr(cubes, "boundary_matrix", misindexing(real, 1))
+        with pytest.raises(BoundarySquareError):
+            oracle_report(tripod, n, d_max, parts=3)
+        monkeypatch.setattr(cubes, "boundary_matrix", real)
+        top = oracle_report(tripod, n, d_max, parts=3).cell_counts[-1]
+        assert (top == 0) == (n < d_max)
+
+    def test_one_strand_builds_only_the_edges(self, tripod, monkeypatch):
+        # n=1 has no 2-cells, so boundary_1 is the only matrix and has no
+        # pair to be checked in
+        calls = []
+        real = cubes.boundary_matrix
+        monkeypatch.setattr(cubes, "boundary_matrix", lambda cx, d: calls.append(d) or real(cx, d))
+        rep = oracle_report(tripod, 1, 3)
+        assert (rep.cell_counts, rep.betti) == ((4, 3, 0, 0), (1, 0, 0))
+        assert calls == [1]
 
 
 class TestClearing:
@@ -237,19 +337,19 @@ class TestClearing:
         tree = request.getfixturevalue(name)
         cx = build_complex(trees.subdivide_edges(tree, parts), n, d_max=3)
         skipped = {}
-        real = cubes.boundary_matrix
+        real = BoundaryMatrix.to_sparse
 
-        def recording(cx, d, skip=frozenset()):
-            skipped[d] = len(skip)
-            return real(cx, d, skip)
+        def recording(m, skip=frozenset()):
+            skipped[m.d] = len(skip)
+            return real(m, skip)
 
-        monkeypatch.setattr(cubes, "boundary_matrix", recording)
+        monkeypatch.setattr(BoundaryMatrix, "to_sparse", recording)
         rep = betti(cx)
         assert skipped.get(3, 0) == 0 and skipped[1] > 0   # clearing did happen
         for d in range(1, 4):
             if not cx.cells[d]:
                 continue
-            r, factors = rank_and_factors(real(cx, d).to_sparse())
+            r, factors = rank_and_factors(real(boundary_matrix(cx, d)))
             assert rep.boundary_ranks[d - 1] == r, d
             assert rep.torsion[d - 1] == tuple(factors), d
 

@@ -13,9 +13,15 @@ from treebraid import cubes, presentation, stars, trees
 
 @pytest.fixture
 def paused_collector():
+    # what exists before the test, pytest's own objects included, moves to
+    # the permanent generation, so each full collection walks only what
+    # the test made
     was_enabled = gc.isenabled()
     gc.disable()
+    gc.collect()
+    gc.freeze()
     yield
+    gc.unfreeze()
     if was_enabled:
         gc.enable()
 
@@ -24,7 +30,6 @@ def test_star_ranks(paused_collector):
     # the table command's path: a cycle that rank left would still be
     # garbage once rank_once drops the level, and each collection walks
     # one cached level instead of all of them
-    gc.collect()        # whatever pytest's own set-up left behind
     for k in range(2, 9):
         for n in range(10):
             stars.rank_once(k, n)
