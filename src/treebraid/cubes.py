@@ -68,7 +68,7 @@ class BoundaryMatrix(NamedTuple):
 
     nrows: int
     d: int
-    rows: list[int]
+    rows: tuple[int, ...]
 
     def to_sparse(self, skip=frozenset()) -> SparseIntMatrix:
         """The columns whose index is not in skip, renumbered in order."""
@@ -237,7 +237,7 @@ def boundary_matrix(cx: CubeComplex, d: int) -> BoundaryMatrix:
             up, low = shift[e]
             append(index[key + up])
             append(index[key + low])
-    return BoundaryMatrix(len(lower), d, rows)
+    return BoundaryMatrix(len(lower), d, tuple(rows))
 
 
 def _face_pairs(d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -251,12 +251,11 @@ def _face_pairs(d: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
 
 def _check_pair(cx: CubeComplex, lower: BoundaryMatrix, upper: BoundaryMatrix) -> None:
     """Raise unless lower * upper == 0 exactly, for lower = boundary_d and
-    upper = boundary_{d+1}, on the rows as they are stored.
+    upper = boundary_{d+1}, on the rows and signs as they are stored.
 
-    Every pair of ``_face_pairs`` has opposite signs, so the product is
-    zero if both of each pair name the same row; that is compared for all
-    columns at once.  Should it fail, each column of upper is summed
-    through the columns of lower, and the first nonzero sum is reported.
+    The check is the pairwise face identity, which implies boundary^2 == 0:
+    in each pair of ``_face_pairs`` both faces of faces name the same row,
+    compared for all columns at once, and carry opposite signs.
     """
     d = lower.d
     width, sub_width = 2 * d + 2, 2 * d
@@ -266,16 +265,23 @@ def _check_pair(cx: CubeComplex, lower: BoundaryMatrix, upper: BoundaryMatrix) -
         """Entry q of the column of face p, for every (d+1)-cell in order."""
         return list(map(sub_rows[q::sub_width].__getitem__, upper.rows[p::width]))
 
-    if all(entries(*first) == entries(*second) for first, second in _face_pairs(d)):
-        return
-    for j, start in enumerate(range(0, len(upper.rows), width)):
-        acc: dict[int, int] = {}
-        for row, sign in zip(upper.rows[start:start + width], _SIGNS):
-            for sub, sub_sign in zip(sub_rows[row * sub_width:(row + 1) * sub_width], _SIGNS):
-                acc[sub] = acc.get(sub, 0) + sign * sub_sign
-        bad = {cx.cells[d - 1][k]: v for k, v in acc.items() if v}
-        if bad:
-            raise BoundarySquareError(f"boundary^2 != 0 on {cx.cells[d + 1][j]}: {bad}")
+    bad = None
+    for (p, q), (p2, q2) in _face_pairs(d):
+        first, second = entries(p, q), entries(p2, q2)
+        if _SIGNS[p] * _SIGNS[q] != -_SIGNS[p2] * _SIGNS[q2]:
+            j = 0       # the signs fail in every column
+        elif first != second:
+            j = next(j for j, (a, b) in enumerate(zip(first, second)) if a != b)
+        else:
+            continue
+        if bad is None or j < bad[0]:
+            bad = (j, first[j], second[j])
+    if bad is not None:
+        j, a, b = bad
+        raise BoundarySquareError(
+            f"boundary^2 != 0 on {cx.cells[d + 1][j]}: faces {cx.cells[d - 1][a]}"
+            f" and {cx.cells[d - 1][b]} do not cancel"
+        )
 
 
 def _checked_boundaries(cx: CubeComplex):

@@ -499,13 +499,21 @@ class TestInternalErrors:
             def misindexed(cx, dim, d=d):
                 m = real(cx, dim)
                 if dim == d:
-                    m.rows[0] = (m.rows[0] + 1) % m.nrows
+                    m = m._replace(rows=((m.rows[0] + 1) % m.nrows, *m.rows[1:]))
                 return m
 
             monkeypatch.setattr(cubes, "boundary_matrix", misindexed)
             code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"])
             assert code == 3, d
             assert "error: boundary^2 != 0" in capsys.readouterr().err
+
+    def test_wrong_signs_exit_3(self, tree_file, capsys, monkeypatch):
+        # the rows are right, but every face carries a + sign
+        monkeypatch.setattr(cubes, "check_boundary_squares_to_zero", None)
+        monkeypatch.setattr(cubes, "_SIGNS", (1,) * 6)
+        code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3"])
+        assert code == 3
+        assert "error: boundary^2 != 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shift", [
         lambda edge, arm, times=1: edge,

@@ -45,7 +45,7 @@ def misindexing(real, bad_d):
     def misindexed(cx, d):
         m = real(cx, d)
         if d == bad_d:
-            m.rows[0] = (m.rows[0] + 1) % m.nrows
+            m = m._replace(rows=((m.rows[0] + 1) % m.nrows, *m.rows[1:]))
         return m
 
     return misindexed
@@ -193,22 +193,24 @@ class TestBoundary:
             for (p, q), (p2, q2) in pairs:
                 assert cubes._SIGNS[p] * cubes._SIGNS[q] == -cubes._SIGNS[p2] * cubes._SIGNS[q2]
 
-    def test_check_sums_when_the_pairs_differ(self, monkeypatch):
-        # the square's boundary with its two vertical sides swapped still
-        # has boundary^2 == 0, though not face for face in the usual pairs
+    def test_check_names_the_column_and_the_faces(self, monkeypatch):
         cx = build_complex(path_tree(3), 2, d_max=2)
-        real = cubes.boundary_matrix
+        monkeypatch.setattr(cubes, "boundary_matrix", misindexing(cubes.boundary_matrix, 2))
+        with pytest.raises(BoundarySquareError) as caught:
+            check_boundary_squares_to_zero(cx)
+        message = str(caught.value)
+        assert message.startswith(f"boundary^2 != 0 on {cx.cells[2][0]}: faces ((), ")
+        assert message.endswith(" do not cancel")
 
-        def swapped(cx, d):
-            m = real(cx, d)
-            if d == 2:
-                up, low = m.rows[0], m.rows[1]
-                m.rows[0], m.rows[1] = m.rows[3], m.rows[2]
-                m.rows[3], m.rows[2] = up, low
-            return m
-
-        monkeypatch.setattr(cubes, "boundary_matrix", swapped)
-        check_boundary_squares_to_zero(cx)
+    @pytest.mark.parametrize("signs", [(1,) * 6, (1, -1, 1, -1, 1, -1)])
+    def test_check_reads_the_signs(self, htree, monkeypatch, signs):
+        # the rows are right, but the signs no longer cancel in pairs
+        cx = build_complex(trees.subdivide_edges(htree, 2), 3, d_max=3)
+        monkeypatch.setattr(cubes, "_SIGNS", signs)
+        with pytest.raises(BoundarySquareError, match=r"boundary\^2 != 0 on "):
+            check_boundary_squares_to_zero(cx)
+        with pytest.raises(BoundarySquareError):
+            oracle_report(htree, 3, 3, parts=2)
 
     def test_bad_dimension(self):
         cx = build_complex(path_tree(3), 2, d_max=2)
