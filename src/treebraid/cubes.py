@@ -1,8 +1,8 @@
 """Discretized configuration cube complexes of subdivided trees.
 
 The n-strand discrete model of a graph: a d-cell is a choice of d edges
-and n - d vertices whose closures are pairwise disjoint (no shared or
-adjacent endpoints).  Faces replace an edge by one of its endpoints.  By
+and n - d vertices whose closures are pairwise disjoint (no two share a
+vertex).  Faces replace an edge by one of its endpoints.  By
 Prue and Scrimshaw (Abrams's stable equivalence for graph braid groups,
 2014), a graph whose paths between vertices of degree != 2 all have at
 least n - 1 edges, and whose cycles have at least n + 1, gives a complex
@@ -12,11 +12,13 @@ is what lets the complex serve as an independent check on the assembled
 presentations: b_1 must count generators and b_2 must count commuting
 pairs.
 
-Vertex ids are interned to integers (rank in sorted id order), so cells
-are plain int tuples and the lexicographic cell order is reproducible.
+Vertex ids are interned to integers (rank in sorted id order), and a cell
+is one integer, its key: vertex v sets bit v, and the i-th edge in sorted
+order sets bit V + i, for V vertices.  Each layer is in ascending key
+order, which is reproducible.
 
 ``betti`` is one pass from the top dimension down.  Each boundary_d is
-built once, as flat face rows found through integer cell keys; it is
+built once, as flat face rows found by key arithmetic; it is
 checked against boundary_{d+1} (boundary^2 == 0, exactly) before it is
 reduced, so every clearing step rests on a product already checked.
 """
@@ -30,8 +32,6 @@ from .homology import SparseIntMatrix, chain_homology
 from .trees import Tree, bfs_parents, subdivide_edges
 
 DEFAULT_CELL_CAP = 5_000_000
-
-Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]   # (edges, vertices)
 
 
 class ResourceCapError(RuntimeError):
@@ -51,7 +51,7 @@ class CubeComplex(NamedTuple):
     tree: Tree
     n: int
     d_max: int
-    cells: tuple[tuple[Cell, ...], ...]          # cells[d], lexicographically sorted
+    cells: tuple[tuple[int, ...], ...]           # cells[d], the d-cells' keys, ascending
 
     def cell_counts(self) -> list[int]:
         return [len(layer) for layer in self.cells]
@@ -87,21 +87,20 @@ class HomologyReport(NamedTuple):
     torsion: tuple[tuple[int, ...], ...]  # invariant factors != 1 of H_d
 
 
-def _disjoint_edge_tuples(edges, masks, size: int, start: int = 0,
-                          chosen: tuple = (), used: int = 0):
-    """All strictly increasing tuples of ``size`` pairwise vertex-disjoint
-    edges, with the vertex masks they cover, that extend ``chosen`` (mask
-    ``used``) by edges from index ``start`` on.  It recurses through itself
-    rather than a nested closure, which would leave a function <-> cell
-    reference cycle for the cyclic collector on every call."""
-    if len(chosen) == size:
-        yield chosen, used
+def _disjoint_edges(masks, offset: int, size: int, start: int = 0,
+                    bits: int = 0, used: int = 0):
+    """(edge bits, covered vertex mask) of each way to add ``size`` disjoint
+    edges from index ``start`` on, edge i having bit offset + i and vertex
+    mask masks[i].  It recurses through itself, as a nested closure would
+    leave a function <-> cell reference cycle on every call."""
+    if not size:
+        yield bits, used
         return
-    for i in range(start, len(edges)):
+    for i in range(start, len(masks)):
         mask = masks[i]
-        if used & mask:
-            continue
-        yield from _disjoint_edge_tuples(edges, masks, size, i + 1, chosen + (edges[i],), used | mask)
+        if not used & mask:
+            yield from _disjoint_edges(masks, offset, size - 1, i + 1,
+                                       bits | 1 << (offset + i), used | mask)
 
 
 def matching_counts(tree: Tree, top: int) -> list[int]:
@@ -177,16 +176,15 @@ def build_complex(
             cells=worst, cap=cell_cap,
         )
 
-    edges = _interned_edges(tree)
-    masks = [(1 << u) | (1 << w) for u, w in edges]
+    masks = [(1 << u) | (1 << w) for u, w in _interned_edges(tree)]
 
-    layers: list[tuple[Cell, ...]] = []
+    layers: list[tuple[int, ...]] = []
     for d in range(min(d_max, n) + 1):
-        layer = []
-        for chosen, used in _disjoint_edge_tuples(edges, masks, d):
-            free = [v for v in range(nv) if not (used >> v) & 1]
-            for verts in combinations(free, n - d):
-                layer.append((chosen, verts))
+        layer: list[int] = []
+        for bits, used in _disjoint_edges(masks, nv, d):
+            # an n-cell has no vertex, so its matchings skip the O(V) scan
+            free = [1 << v for v in range(nv) if not used >> v & 1] if d < n else ()
+            layer += map(bits.__add__, map(sum, combinations(free, n - d)))
         layer.sort()
         layers.append(tuple(layer))
     while len(layers) <= d_max:
@@ -201,42 +199,38 @@ def _interned_edges(tree: Tree) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((pos[u], pos[w]) for u, w in tree.edges))
 
 
-def _keys(cells, vertex_bit, edge_bit):
-    """The integer key of each cell, in order: its vertex bits plus its
-    edge bits."""
-    for edges, verts in cells:
-        key = 0
-        for v in verts:
-            key += vertex_bit[v]
-        for e in edges:
-            key += edge_bit[e]
-        yield key
+def _decode(tree: Tree, key: int) -> tuple:
+    """The cell of a key as ((edges), (vertices)) in interned ids."""
+    nv = len(tree.vertices)
+    return (tuple(e for i, e in enumerate(_interned_edges(tree)) if key >> (nv + i) & 1),
+            tuple(v for v in range(nv) if key >> v & 1))
 
 
 def boundary_matrix(cx: CubeComplex, d: int) -> BoundaryMatrix:
-    """Boundary of the d-cells, in cell order.  Axis i (the i-th smallest
-    edge) of a cell contributes the faces at its upper, then its lower
-    endpoint, edges being oriented from the smaller to the larger interned
-    id; ``_SIGNS`` gives their signs.  A face is found by its integer key:
-    dropping edge (u, w) for endpoint x changes a cell's key by a constant
-    of the edge and x, so no face is built as a tuple.
+    """Boundary of the d-cells, in cell order.  Axis i of a cell (its i-th
+    lowest edge bit, so its i-th smallest edge) gives the faces at its upper,
+    then lower endpoint, edges running from the smaller to the larger
+    interned id; ``_SIGNS`` gives their signs.  Dropping edge (u, w) for
+    endpoint x adds a constant of the edge and x to the cell's key.
     """
     if not 1 <= d <= cx.d_max:
         raise ValueError(f"dimension must be 1..{cx.d_max}, got {d}")
     nv = len(cx.tree.vertices)
-    vertex_bit = [1 << v for v in range(nv)]
-    edge_bit = {e: 1 << (nv + i) for i, e in enumerate(_interned_edges(cx.tree))}
-    # per edge, the key change of its (upper, lower) face
-    shift = {(u, w): (vertex_bit[w] - bit, vertex_bit[u] - bit) for (u, w), bit in edge_bit.items()}
-    lower, cells = cx.cells[d - 1], cx.cells[d]
-    index = dict(zip(_keys(lower, vertex_bit, edge_bit), range(len(lower))))
+    # per edge bit of key >> nv, the key change of the (upper, lower) face
+    shift = {1 << i: ((1 << w) - (1 << (nv + i)), (1 << u) - (1 << (nv + i)))
+             for i, (u, w) in enumerate(_interned_edges(cx.tree))}
+    lower = cx.cells[d - 1]
+    index = dict(zip(lower, range(len(lower))))
     rows: list[int] = []
     append = rows.append
-    for (edges, _), key in zip(cells, _keys(cells, vertex_bit, edge_bit)):
-        for e in edges:
-            up, low = shift[e]
+    for key in cx.cells[d]:
+        edge_bits = key >> nv
+        while edge_bits:
+            bit = edge_bits & -edge_bits
+            up, low = shift[bit]
             append(index[key + up])
             append(index[key + low])
+            edge_bits ^= bit
     return BoundaryMatrix(len(lower), d, tuple(rows))
 
 
@@ -278,9 +272,10 @@ def _check_pair(cx: CubeComplex, lower: BoundaryMatrix, upper: BoundaryMatrix) -
             bad = (j, first[j], second[j])
     if bad is not None:
         j, a, b = bad
+        tree, faces = cx.tree, cx.cells[d - 1]
         raise BoundarySquareError(
-            f"boundary^2 != 0 on {cx.cells[d + 1][j]}: faces {cx.cells[d - 1][a]}"
-            f" and {cx.cells[d - 1][b]} do not cancel"
+            f"boundary^2 != 0 on {_decode(tree, cx.cells[d + 1][j])}: faces"
+            f" {_decode(tree, faces[a])} and {_decode(tree, faces[b])} do not cancel"
         )
 
 
@@ -341,6 +336,10 @@ def oracle_report(
         raise ValueError(
             f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
         )
+    nv = len(tree.vertices) + (parts - 1) * len(tree.edges)
+    if 0 < n < nv and nv > cell_cap:     # the C(nv, n) >= nv 0-cells, before cutting
+        raise ResourceCapError(f"subdivision {parts} gives {nv} vertices, so the 0-cell layer"
+                               f" alone is above the cap {cell_cap}", cells=nv, cap=cell_cap)
     return betti(build_complex(subdivide_edges(tree, parts), n, d_max=d_max, cell_cap=cell_cap))
 
 

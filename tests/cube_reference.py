@@ -1,12 +1,63 @@
-"""Test-side companions of ``treebraid.cubes``: the tuple-based face rule
-the flat boundary rows are checked against, and a spanning-tree
+"""Test-side companions of ``treebraid.cubes``: cells as tuples, decoded
+from their integer keys and enumerated by brute force; the tuple-based face
+rule the flat boundary rows are checked against; and a spanning-tree
 presentation of the fundamental group of the 2-skeleton, whose
-abelianization is checked against b_1.  Neither is needed by a command."""
+abelianization is checked against b_1.  None is needed by a command."""
 from collections import deque
+from itertools import combinations
 from typing import NamedTuple
 
-from treebraid.cubes import Cell, CubeComplex
+from treebraid.cubes import CubeComplex
 from treebraid.homology import SparseIntMatrix, rank_and_factors
+
+Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]   # (edges, vertices)
+
+
+def interned_edges(tree) -> list[tuple[int, int]]:
+    """The edges as (smaller, larger) ranks in the sorted vertex ids, sorted."""
+    rank = {v: i for i, v in enumerate(sorted(tree.vertices))}
+    return sorted(tuple(sorted((rank[u], rank[w]))) for u, w in tree.edges)
+
+
+def decoder(tree):
+    """The function from a cell's key to its (edges, vertices): with V
+    vertices, bit v of the key is vertex v and bit V + i the i-th edge of
+    ``interned_edges``."""
+    nv = len(tree.vertices)
+    edges = interned_edges(tree)
+
+    def decode(key: int) -> Cell:
+        assert 0 <= key < 1 << (nv + len(edges)), key
+        ones = []       # the positions of the set bits, ascending
+        while key:
+            low = key & -key
+            ones.append(low.bit_length() - 1)
+            key ^= low
+        return tuple(edges[i - nv] for i in ones if i >= nv), tuple(i for i in ones if i < nv)
+
+    return decode
+
+
+def decoded_layers(cx: CubeComplex) -> list[list[Cell]]:
+    """Every layer of cx as tuple cells, in the complex's order."""
+    decode = decoder(cx.tree)
+    return [[decode(key) for key in layer] for layer in cx.cells]
+
+
+def brute_force_cells(tree, n: int, d: int) -> set[Cell]:
+    """The d-cells for n strands: every d-set of edges whose closures are
+    pairwise disjoint, times every (n - d)-set of the vertices they leave."""
+    edges = interned_edges(tree)
+    out = set()
+    if d > n:
+        return out
+    for chosen in combinations(edges, d):
+        covered = {v for e in chosen for v in e}
+        if len(covered) < 2 * d:
+            continue
+        free = [v for v in range(len(tree.vertices)) if v not in covered]
+        out.update((chosen, verts) for verts in combinations(free, n - d))
+    return out
 
 
 def cell_faces(cell: Cell) -> list[tuple[Cell, int]]:
@@ -52,20 +103,21 @@ class Pi1Presentation(NamedTuple):
 
 
 def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
-    """Presentation read off the 1-skeleton and the squares.
+    """Presentation read off the 1-skeleton and the squares, as decoded.
 
-    The spanning tree is breadth-first from the lexicographically least
-    0-cell, visiting 1-cells in cell order.  Each square contributes the
-    word of its boundary loop walked lower-corner -> first axis -> second
-    axis -> back, with tree edges elided.
+    The spanning tree is breadth-first from the first 0-cell, visiting
+    1-cells in cell order.  Each square contributes the word of its
+    boundary loop walked lower-corner -> first axis -> second axis -> back,
+    with tree edges elided.
     """
     if cx.d_max < 2:
         raise ValueError("pi1 needs cells up to dimension 2")
-    zero_index = {cell: i for i, cell in enumerate(cx.cells[0])}
-    one_cells = cx.cells[1]
+    decode = decoder(cx.tree)
+    zero_cells, one_cells, two_cells = ([decode(key) for key in layer] for layer in cx.cells[:3])
+    zero_index = {cell: i for i, cell in enumerate(zero_cells)}
 
     # oriented 1-cells: tail = lower endpoint face, head = upper
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in cx.cells[0]]
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in zero_cells]
     for j, (edges, verts) in enumerate(one_cells):
         (u, w) = edges[0]
         tail = zero_index[((), tuple(sorted(verts + (u,))))]
@@ -73,7 +125,7 @@ def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
         adjacency[tail].append((head, j, +1))
         adjacency[head].append((tail, j, -1))
 
-    n_zero = len(cx.cells[0])
+    n_zero = len(zero_cells)
     visited = [False] * n_zero
     in_tree = [False] * len(one_cells)
     if n_zero:
@@ -99,7 +151,7 @@ def pi1_presentation(cx: CubeComplex) -> Pi1Presentation:
 
     one_index = {cell: j for j, cell in enumerate(one_cells)}
     relators = []
-    for (e1, e2), verts in cx.cells[2]:
+    for (e1, e2), verts in two_cells:
         (u1, w1) = e1
         (u2, w2) = e2
         side = [

@@ -228,6 +228,23 @@ class TestVerify:
         # the largest layer at 3 pieces per edge is the 2-cells
         assert "5874" in capsys.readouterr().err
 
+    def test_subdivision_above_the_cap_exits_4_before_cutting(self, tree_file, capsys, monkeypatch):
+        # the H-tree's 6 vertices and 5 edges, cut into 20 pieces, give 101
+        # vertices, so at n=2 at least 101 0-cells
+        def cut(tree, parts):
+            raise AssertionError("the tree was subdivided")
+
+        monkeypatch.setattr(cubes, "subdivide_edges", cut)
+        code = cli.main([
+            "verify", "--tree", tree_file(HTREE), "--n", "2", "--subdivision", "20",
+            "--cell-cap", "100",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: subdivision 20 gives 101 vertices, so the 0-cell layer alone"
+            " is above the cap 100\n"
+        )
+
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_cell_cap_below_one_is_a_usage_error(self, tree_file, capsys, cap):
         code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", cap])

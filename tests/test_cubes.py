@@ -19,7 +19,14 @@ from treebraid.cubes import (
 from treebraid.homology import rank_and_factors
 
 from conftest import tree_from_edges
-from cube_reference import DisconnectedComplexError, cell_faces, pi1_presentation
+from cube_reference import (
+    DisconnectedComplexError,
+    brute_force_cells,
+    cell_faces,
+    decoded_layers,
+    decoder,
+    pi1_presentation,
+)
 
 FIXTURE_TREES = ["interval", "tripod", "star4", "htree", "caterpillar3", "caterpillar5", "spider"]
 
@@ -57,7 +64,7 @@ class TestBuild:
         assert cx.cell_counts() == [6, 6, 1]
         # the single square is the two disjoint end edges
         (square,) = cx.cells[2]
-        assert square == (((0, 1), (2, 3)), ())
+        assert decoder(cx.tree)(square) == (((0, 1), (2, 3)), ())
 
     def test_zero_cells_are_all_vertex_subsets(self):
         t = path_tree(4)
@@ -77,19 +84,32 @@ class TestBuild:
     def test_faces_are_cells(self, htree):
         fine = trees.subdivide_edges(htree, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
+        layers = decoded_layers(cx)
         for d in (1, 2):
-            lower = set(cx.cells[d - 1])
-            for cell in cx.cells[d]:
+            lower = set(layers[d - 1])
+            for cell in layers[d]:
                 for face, _ in cell_faces(cell):
                     assert face in lower
 
     def test_cells_sorted_and_deterministic(self, tripod):
-        fine = trees.subdivide_edges(tripod, 2 + 1)
-        a = build_complex(fine, 2, d_max=3)
-        b = build_complex(fine, 2, d_max=3)
+        # the same tree given with its edges reversed, in reverse order
+        flipped = tree_from_edges([(w, u) for u, w in reversed(tripod.edges)], tripod.endpoint)
+        a = build_complex(trees.subdivide_edges(tripod, 2 + 1), 2, d_max=3)
+        b = build_complex(trees.subdivide_edges(flipped, 2 + 1), 2, d_max=3)
         assert a.cells == b.cells
         for layer in a.cells:
-            assert list(layer) == sorted(layer)
+            assert all(type(key) is int for key in layer)
+            assert all(x < y for x, y in zip(layer, layer[1:]))
+
+    @pytest.mark.parametrize("name", FIXTURE_TREES)
+    def test_keys_decode_to_the_brute_force_cells(self, name, request):
+        tree = request.getfixturevalue(name)
+        for n in range(4):
+            fine = trees.subdivide_edges(tree, max(1, n - 1))
+            cx = build_complex(fine, n, d_max=3)
+            for d, (keys, cells) in enumerate(zip(cx.cells, decoded_layers(cx))):
+                assert all(x < y for x, y in zip(keys, keys[1:])), (n, d)
+                assert set(cells) == brute_force_cells(fine, n, d), (n, d)
 
     def test_resource_cap(self, htree):
         fine = trees.subdivide_edges(htree, 4 + 1)
@@ -173,13 +193,14 @@ class TestBoundary:
         tree = request.getfixturevalue(name)
         for n in range(4):
             cx = build_complex(trees.subdivide_edges(tree, max(1, n - 1)), n, d_max=3)
+            layers = decoded_layers(cx)
             for d in range(1, 4):
                 m = boundary_matrix(cx, d)
                 assert m.nrows == len(cx.cells[d - 1]) and m.d == d
-                index = {cell: i for i, cell in enumerate(cx.cells[d - 1])}
+                index = {cell: i for i, cell in enumerate(layers[d - 1])}
                 want = [
                     tuple((index[face], sign) for face, sign in cell_faces(cell))
-                    for cell in cx.cells[d]
+                    for cell in layers[d]
                 ]
                 assert columns(m) == want, (n, d)
 
@@ -199,7 +220,8 @@ class TestBoundary:
         with pytest.raises(BoundarySquareError) as caught:
             check_boundary_squares_to_zero(cx)
         message = str(caught.value)
-        assert message.startswith(f"boundary^2 != 0 on {cx.cells[2][0]}: faces ((), ")
+        first = decoder(cx.tree)(cx.cells[2][0])
+        assert message.startswith(f"boundary^2 != 0 on {first}: faces ((), ")
         assert message.endswith(" do not cancel")
 
     @pytest.mark.parametrize("signs", [(1,) * 6, (1, -1, 1, -1, 1, -1)])
@@ -286,6 +308,22 @@ class TestOracleReport:
         monkeypatch.setattr(cubes, "build_complex", None)
         with pytest.raises(ValueError, match="subdivision 1 is too coarse for n=3; need at least 2"):
             oracle_report(tripod, 3, parts=1)
+
+    def test_a_cut_with_more_vertices_than_the_cap_is_not_made(self, htree, monkeypatch):
+        # 6 vertices and 5 edges: 20 pieces per edge give 101 vertices, and
+        # at n=2 as many 0-cells at least
+        real = cubes.subdivide_edges
+        monkeypatch.setattr(cubes, "subdivide_edges", None)
+        with pytest.raises(ResourceCapError, match="^subdivision 20 gives 101 vertices") as info:
+            oracle_report(htree, 2, parts=20, cell_cap=100)
+        assert (info.value.cells, info.value.cap) == (101, 100)
+        # no strand, one cell: the cap is not reached, however fine the cut
+        monkeypatch.setattr(cubes, "subdivide_edges", real)
+        assert oracle_report(htree, 0, parts=20, cell_cap=1).cell_counts == (1, 0, 0, 0)
+        # at the cap the cut is made, and its largest layer is refused as before
+        worst = max(layer_sizes(real(htree, 20), 2, 3))
+        with pytest.raises(ResourceCapError, match=f"^largest cell layer has {worst} cells"):
+            oracle_report(htree, 2, parts=20, cell_cap=101)
 
     def test_boundary_is_checked_before_betti(self, tripod, monkeypatch):
         # a wrong row in boundary_2 stops the report: no Betti number is
@@ -395,7 +433,7 @@ class TestPi1:
             tree=base.tree,
             n=1,
             d_max=2,
-            cells=((((), (0,)), ((), (1,))), (), ()),   # two 0-cells, no 1-cells
+            cells=((1 << 0, 1 << 1), (), ()),   # 0-cells (), (0,) and (), (1,); no 1-cells
         )
         with pytest.raises(DisconnectedComplexError):
             pi1_presentation(broken)
