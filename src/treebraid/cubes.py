@@ -143,7 +143,7 @@ def layer_sizes(tree: Tree, n: int, d_max: int) -> list[int]:
     A d-cell is a d-edge matching plus n - d of the V - 2d vertices it
     leaves uncovered, so there are m_d * C(V - 2d, n - d) of them.
     """
-    m = matching_counts(tree, d_max)
+    m = matching_counts(tree, min(d_max, n))
     nv = len(tree.vertices)
     return [
         m[d] * comb(nv - 2 * d, n - d) if d <= n and m[d] else 0
@@ -176,7 +176,8 @@ def build_complex(
             cells=worst, cap=cell_cap,
         )
 
-    masks = [(1 << u) | (1 << w) for u, w in _interned_edges(tree)]
+    # at n = 0 the one cell is empty, and no mask would be read
+    masks = [(1 << u) | (1 << w) for u, w in _interned_edges(tree)] if n else []
 
     layers: list[tuple[int, ...]] = []
     for d in range(min(d_max, n) + 1):

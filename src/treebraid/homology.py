@@ -6,14 +6,17 @@ greedy Markowitz elimination restricted to unit pivots: adding integer
 multiples of the pivot row to other rows is unimodular, and once the pivot
 column is clear the pivot row can be removed with equally unimodular
 column operations that touch nothing else.  Each such step contributes an
-invariant factor of 1; whatever survives (typically nothing) is finished
-off by a dense Smith normal form.  All arithmetic is on Python ints, so
-pivot growth can never overflow.
+invariant factor of 1.  Whatever survives (typically nothing) is
+diagonalized densely, pivoting on a least entry until its row and column
+are clear; each pass either shrinks the matrix or lowers the least entry,
+so this ends.  A gcd/lcm pass over the diagonal then yields the invariant
+factors.  All arithmetic is on Python ints, so growth can never overflow.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class SparseIntMatrix:
@@ -136,59 +139,20 @@ def eliminate_units(m: SparseIntMatrix) -> tuple[int, list[list[int]]]:
     return len(pivot_rows), dense
 
 
-def _smallest_nonzero(mat: list[list[int]], t: int) -> tuple[int, int] | None:
-    best = None
-    best_abs = None
-    for i in range(t, len(mat)):
-        row = mat[i]
-        for j in range(t, len(row)):
-            v = row[j]
-            if v and (best_abs is None or abs(v) < best_abs):
-                best = (i, j)
-                best_abs = abs(v)
-                if best_abs == 1:
-                    return best
-    return best
-
-
-def _clear_cross(mat: list[list[int]], t: int) -> None:
-    """Zero out column t below and row t right of the pivot at (t, t).
-
-    Classic Euclidean sweep: reduce every cross entry modulo the pivot,
-    swap any nonzero remainder (strictly smaller) into the pivot slot, and
-    repeat; |pivot| strictly decreases between passes, so this terminates.
-    """
-    nrows = len(mat)
-    ncols = len(mat[0])
-    while True:
-        clean = True
-        for i in range(t + 1, nrows):
-            if mat[i][t]:
-                q = mat[i][t] // mat[t][t]
-                if q:
-                    for jj in range(t, ncols):
-                        mat[i][jj] -= q * mat[t][jj]
-                if mat[i][t]:
-                    mat[t], mat[i] = mat[i], mat[t]
-                    clean = False
-        for j in range(t + 1, ncols):
-            if mat[t][j]:
-                q = mat[t][j] // mat[t][t]
-                if q:
-                    for ii in range(t, nrows):
-                        mat[ii][j] -= q * mat[ii][t]
-                if mat[t][j]:
-                    for row in mat:
-                        row[t], row[j] = row[j], row[t]
-                    clean = False
-        if clean:
-            return
-
-
 def smith_diagonal(mat: list[list[int]]) -> list[int]:
     """Nonzero diagonal of the Smith normal form of a dense matrix.
 
     Returned entries are positive and each divides the next.  Modifies mat.
+
+    Each pass drops the zero rows and pivots on an entry p of least absolute
+    value, the first such in (row, column) order.  It reduces every other
+    entry of p's column, then of p's row, modulo p.  If that clears the
+    cross, |p| is recorded and its row and column deleted; otherwise a
+    nonzero remainder, smaller than |p|, is left, and the next pass pivots
+    on it.  Each pass thus shrinks the matrix or lowers the least nonzero
+    entry, a positive integer, so the loop ends.  Replacing each
+    pair (d_i, d_j), i < j, of the diagonal by (gcd, lcm) then sorts each
+    prime's exponents, which puts the factors in divisibility order.
 
     On cube-complex boundaries this only ever sees what ``eliminate_units``
     leaves behind, and that remainder was empty on every input measured
@@ -196,39 +160,33 @@ def smith_diagonal(mat: list[list[int]]) -> list[int]:
     kept for inputs where it is not, and the homology tests exercise it
     directly.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
     diag = []
-    t = 0
-    while t < nrows and t < ncols:
-        pos = _smallest_nonzero(mat, t)
-        if pos is None:
+    while True:
+        mat[:] = [row for row in mat if any(row)]
+        if not mat:
             break
-        i, j = pos
-        mat[t], mat[i] = mat[i], mat[t]
-        if j != t:
-            for row in mat:
-                row[t], row[j] = row[j], row[t]
-        _clear_cross(mat, t)
-
-        # invariant-factor condition: pivot must divide the trailing block
-        pivot = mat[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            row = mat[i]
-            for j in range(t + 1, ncols):
-                if row[j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for jj in range(t, ncols):
-                mat[t][jj] += mat[offender][jj]
-            _clear_cross(mat, t)    # gcd step: |pivot| strictly shrinks
-            continue                # recheck divisibility with the new pivot
-        diag.append(abs(pivot))
-        t += 1
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(mat)
+                      for j, v in enumerate(row) if v)
+        top = mat[i]
+        p = top[j]
+        for row in mat:
+            q = row[j] // p
+            if q and row is not top:
+                row[:] = [a - q * b for a, b in zip(row, top)]
+        for c, v in enumerate(top):
+            q = v // p
+            if q and c != j:
+                for row in mat:
+                    row[c] -= q * row[j]
+        if sum(map(bool, top)) > 1 or any(row[j] for row in mat if row is not top):
+            continue
+        diag.append(abs(p))
+        del mat[i]
+        for row in mat:
+            del row[j]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            diag[a], diag[b] = gcd(diag[a], diag[b]), lcm(diag[a], diag[b])
     return diag
 
 

@@ -1,6 +1,33 @@
+import signal
+import time
+from contextlib import contextmanager
+
 import pytest
 
 from treebraid import trees
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once ``seconds`` of wall time
+    have passed, so a call that would hang fails in bounded time.  Uses
+    SIGALRM, so only in the main thread; the previous handler and any
+    running timer, less the time spent here, are restored on exit."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old_handler = signal.signal(signal.SIGALRM, expire)
+    old_delay, old_interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old_handler)
+        if old_delay:
+            left = old_delay - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6), old_interval)
 
 
 def tree_from_edges(edges, endpoint):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -80,6 +81,18 @@ class TestBuild:
         cx = build_complex(tripod, 0, d_max=3)
         assert cx.cell_counts() == [1, 0, 0, 0]
         assert betti(cx).betti == (1, 0, 0)
+
+    def test_n0_on_a_fine_cut_builds_no_edge_masks(self, htree):
+        # n = 0 reads no edge mask; at V + E bits each, they would take ~170 MB
+        fine = trees.subdivide_edges(htree, 10000)
+        tracemalloc.start()
+        try:
+            cx = build_complex(fine, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cx.cell_counts() == [1, 0, 0, 0]
+        assert peak < 60 * 2**20
 
     def test_faces_are_cells(self, htree):
         fine = trees.subdivide_edges(htree, 2 + 1)

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -12,6 +13,8 @@ from treebraid.homology import (
     rank_and_factors,
     smith_diagonal,
 )
+
+from conftest import deadline
 
 
 def sparse_from_dense(rows):
@@ -88,6 +91,77 @@ def minor_gcd_factors(rows):
     return factors
 
 
+def gfp_rank(rows, p):
+    """Oracle: rank over the field of p elements, p prime."""
+    mat = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [v * inv % p for v in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def unit_free(nrows, ncols, seed):
+    """Entries from {0, +-2, +-3}: no unit pivot, as eliminate_units leaves."""
+    rng = random.Random(seed)
+    return [[rng.choice((0, 2, -2, 3, -3)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def assert_is_smith_diagonal_of(diag, rows):
+    """Check a full diagonal (1s included) against the rank over Q, the
+    ranks over GF(p), the divisibility chain and |det|."""
+    assert all(d > 0 for d in diag)
+    assert len(diag) == fraction_rank(rows)
+    for p in (2, 3, 5, 7):
+        assert sum(1 for d in diag if d % p) == gfp_rank(rows, p)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0
+    if len(rows) == len(rows[0]) == len(diag):
+        product = 1
+        for d in diag:
+            product *= d
+        assert product == abs(determinant(rows))
+
+
+# naive Euclidean elimination grows these entries without bound; the
+# factors are [1, 1, 1, 1, 2]
+BLOWUP_7X5 = [
+    [839, -381, 0, 41, -508],
+    [-110, -960, -446, 0, -742],
+    [-788, 0, 114, 137, 0],
+    [0, 0, -369, -730, 870],
+    [0, 0, 0, 640, 0],
+    [819, -682, 0, -100, 1000],
+    [0, 365, 0, 0, 0],
+]
+
+
+def signed_rectangular(seed):
+    rng = random.Random(5000 + seed)
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+    return [[rng.choice((0, rng.randint(-1000, 1000))) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def test_deadline_interrupts_a_loop_and_restores_the_handler():
+    before = signal.getsignal(signal.SIGALRM)
+    with pytest.raises(TimeoutError):
+        with deadline(0.05):
+            while True:
+                pass
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
 class TestSmithDiagonal:
     def test_known_2x2(self):
         assert smith_diagonal([[2, 4], [4, 6]]) == [2, 2]
@@ -119,6 +193,26 @@ class TestSmithDiagonal:
             rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
             diag = smith_diagonal([row[:] for row in rows])
             assert diag == minor_gcd_factors(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [BLOWUP_7X5, [[2, 0, 0], [0, 2, 0], [0, 0, 3]]]
+        + [signed_rectangular(seed) for seed in range(12)],
+        ids=["blowup7x5", "diag223"] + [f"seed{seed}" for seed in range(12)],
+    )
+    def test_signed_rectangular_against_minor_gcds(self, rows):
+        with deadline(2):
+            diag = smith_diagonal([row[:] for row in rows])
+        assert diag == minor_gcd_factors(rows)
+
+    @pytest.mark.parametrize("shape", [(10, 10), (11, 13), (12, 12), (14, 12), (16, 16)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_unit_free_against_rank_oracles(self, shape, seed):
+        rows = unit_free(*shape, 6000 + seed)
+        with deadline(2):
+            diag = smith_diagonal([row[:] for row in rows])
+        assert_is_smith_diagonal_of(diag, rows)
 
 
 class TestEliminateUnits:
@@ -241,6 +335,13 @@ class TestRankAndFactors:
         r, factors = rank_and_factors(sparse_from_dense(mixed))
         assert r == base_rank
         assert factors == [2, 6]
+
+    def test_unit_free_matrix_through_the_sparse_path(self):
+        # no unit pivot: the whole matrix reaches smith_diagonal
+        rows = unit_free(12, 12, 7000)
+        with deadline(2):
+            r, factors = rank_and_factors(sparse_from_dense(rows))
+        assert_is_smith_diagonal_of([1] * (r - len(factors)) + factors, rows)
 
 
 class TestChainHomology:
