@@ -110,8 +110,6 @@ def _check_levels(tree, levels, args) -> int:
     from the tree's arm counts in spine order alone; the oracle builds its
     complex on the input tree itself."""
     out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
     header = f"{'n':>3} {'gens':>6} {'rels':>6} {'tris':>6} {'b1':>6} {'b2':>6} {'b3':>4} {'status':>8}"
     print(header)
     failed = False
@@ -128,6 +126,8 @@ def _check_levels(tree, levels, args) -> int:
             f"{b1:>6} {b2:>6} {b3:>4} {status:>8}"
         )
         if out_dir:
+            # made here, so a level refused before its report leaves no empty directory
+            out_dir.mkdir(parents=True, exist_ok=True)
             payload = {
                 "n": n,
                 "generators": expect[0],

@@ -141,8 +141,11 @@ def layer_sizes(tree: Tree, n: int, d_max: int) -> list[int]:
     """Exact cell count of each dimension 0..d_max for n strands on tree.
 
     A d-cell is a d-edge matching plus n - d of the V - 2d vertices it
-    leaves uncovered, so there are m_d * C(V - 2d, n - d) of them.
+    leaves uncovered, so there are m_d * C(V - 2d, n - d) of them.  At n = 0
+    the one cell is empty, and no matching is counted.
     """
+    if not n:
+        return [1] + [0] * d_max
     m = matching_counts(tree, min(d_max, n))
     nv = len(tree.vertices)
     return [
@@ -338,9 +341,14 @@ def oracle_report(
             f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
         )
     nv = len(tree.vertices) + (parts - 1) * len(tree.edges)
-    if 0 < n < nv and nv > cell_cap:     # the C(nv, n) >= nv 0-cells, before cutting
-        raise ResourceCapError(f"subdivision {parts} gives {nv} vertices, so the 0-cell layer"
-                               f" alone is above the cap {cell_cap}", cells=nv, cap=cell_cap)
+    if 0 < n < nv:
+        # before cutting: C(nv, n) = C(nv, min(n, nv - n)) 0-cells, and C(nv, j)
+        # grows up to j = nv / 2, so at least C(nv, k), cheap for k <= 2 at any nv
+        least = comb(nv, min(n, nv - n, 2))
+        if least > cell_cap:
+            raise ResourceCapError(f"subdivision {parts} gives {nv} vertices, so the 0-cell layer"
+                                   f" alone has at least {least} cells, above the cap {cell_cap}",
+                                   cells=least, cap=cell_cap)
     return betti(build_complex(subdivide_edges(tree, parts), n, d_max=d_max, cell_cap=cell_cap))
 
 

@@ -2,20 +2,20 @@
 
 The boundary matrices of the cube complexes handled here are large, very
 sparse, and almost entirely made of +-1 entries.  The workhorse is a
-greedy Markowitz elimination restricted to unit pivots: adding integer
-multiples of the pivot row to other rows is unimodular, and once the pivot
-column is clear the pivot row can be removed with equally unimodular
-column operations that touch nothing else.  Each such step contributes an
-invariant factor of 1.  Whatever survives (typically nothing) is
-diagonalized densely, pivoting on a least entry until its row and column
-are clear; each pass either shrinks the matrix or lowers the least entry,
-so this ends.  A gcd/lcm pass over the diagonal then yields the invariant
-factors.  All arithmetic is on Python ints, so growth can never overflow.
+sweep over the columns that pivots on unit entries only, in each column on
+the shortest row holding one: adding integer multiples of the pivot row to
+other rows is unimodular, and once the pivot column is clear the pivot row
+can be removed with equally unimodular column operations that touch
+nothing else.  Each such step contributes an invariant factor of 1.
+Whatever survives (typically nothing) is diagonalized densely, pivoting
+on a least entry until its row and column are clear; each pass either
+shrinks the matrix or lowers the least entry, so this ends.  A gcd/lcm
+pass over the diagonal then yields the invariant factors.  All arithmetic
+is on Python ints, so growth can never overflow.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -67,9 +67,12 @@ class SparseIntMatrix:
 def eliminate_units(m: SparseIntMatrix) -> tuple[int, list[list[int]]]:
     """Unimodular unit-pivot elimination; returns (pivots done, dense rest).
 
-    Pivots are chosen greedily by Markowitz cost (fill bound) among entries
-    of value +-1, via a lazy heap: stale records are re-validated on pop.
-    The returned dense remainder has no unit entries (usually it is empty).
+    Sweeps the columns in order and, in each column with a +-1 entry,
+    pivots on the shortest such row, the lowest-numbered on a tie: within
+    one column that is the least Markowitz cost (len(row) - 1) *
+    (len(col) - 1), a bound on the fill.  Fill can make a unit in a column
+    already swept, so sweeps repeat until one finds no unit, and the
+    returned dense remainder has no unit entries (usually it is empty).
     Destroys m, and records in ``m.pivot_rows`` the row of each unit pivot,
     in pivot order.  Rows merely emptied by elimination are not recorded, nor
     is anything the dense remainder later pivots on.  The pivot minor is
@@ -77,54 +80,41 @@ def eliminate_units(m: SparseIntMatrix) -> tuple[int, list[list[int]]]:
     """
     rows = m.rows
     cols = m.cols
-    heap = [
-        ((len(row) - 1) * (len(cols[c]) - 1), r, c)
-        for r, row in rows.items()
-        for c, v in row.items()
-        if v == 1 or v == -1
-    ]
-    heapify(heap)
     m.pivot_rows = pivot_rows = []
-    while heap:
-        cost, r, c = heappop(heap)
-        row_r = rows.get(r)
-        if row_r is None:
-            continue
-        val = row_r.get(c)
-        if val is None or (val != 1 and val != -1):
-            continue
-        col_c = cols[c]
-        current = (len(row_r) - 1) * (len(col_c) - 1)
-        if current > cost:
-            heappush(heap, (current, r, c))
-            continue
-
-        pivot_rows.append(r)
-        del rows[r]
-        for cc in row_r:
-            cols[cc].discard(r)
-        del cols[c]
-        pivot_items = [(cc, v) for cc, v in row_r.items() if cc != c]
-        for s in col_c:
-            row_s = rows[s]
-            factor = row_s.pop(c) * val    # val in {1,-1}: division == multiplication
-            for cc, v in pivot_items:
-                cur = row_s.get(cc)
-                if cur is None:
-                    nv = -factor * v
-                    row_s[cc] = nv
-                    cols[cc].add(s)
-                else:
-                    nv = cur - factor * v
-                    if nv == 0:
-                        del row_s[cc]
-                        cols[cc].discard(s)
-                        continue
-                    row_s[cc] = nv
-                if nv == 1 or nv == -1:
-                    heappush(heap, ((len(row_s) - 1) * (len(cols[cc]) - 1), s, cc))
-            if not row_s:
-                del rows[s]
+    swept = -1
+    while swept != len(pivot_rows):     # until a whole sweep finds no unit
+        swept = len(pivot_rows)
+        for c in sorted(cols):
+            col_c = cols[c]
+            pivot = min(((len(rows[s]), s) for s in col_c if rows[s][c] in (1, -1)),
+                        default=None)
+            if pivot is None:
+                continue
+            r = pivot[1]
+            row_r = rows.pop(r)
+            val = row_r[c]
+            pivot_rows.append(r)
+            for cc in row_r:
+                cols[cc].discard(r)
+            del cols[c]
+            pivot_items = [(cc, v) for cc, v in row_r.items() if cc != c]
+            for s in col_c:
+                row_s = rows[s]
+                factor = row_s.pop(c) * val    # val in {1,-1}: division == multiplication
+                for cc, v in pivot_items:
+                    cur = row_s.get(cc)
+                    if cur is None:
+                        row_s[cc] = -factor * v
+                        cols[cc].add(s)
+                    else:
+                        nv = cur - factor * v
+                        if nv:
+                            row_s[cc] = nv
+                        else:
+                            del row_s[cc]
+                            cols[cc].discard(s)
+                if not row_s:
+                    del rows[s]
 
     # pack the remainder densely
     left_rows = sorted(rows)

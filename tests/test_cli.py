@@ -221,8 +221,10 @@ class TestVerify:
         assert seen == [11]
 
     def test_cell_cap_exits_4(self, tree_file, capsys):
+        # 3 pieces per edge give 16 vertices, at least C(16, 2) = 120
+        # 0-cells, so the cut is made under this cap
         code = cli.main([
-            "verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", "100",
+            "verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", "1000",
         ])
         assert code == 4
         # the largest layer at 3 pieces per edge is the 2-cells
@@ -230,7 +232,7 @@ class TestVerify:
 
     def test_subdivision_above_the_cap_exits_4_before_cutting(self, tree_file, capsys, monkeypatch):
         # the H-tree's 6 vertices and 5 edges, cut into 20 pieces, give 101
-        # vertices, so at n=2 at least 101 0-cells
+        # vertices, so at n=2 C(101, 2) = 5050 0-cells
         def cut(tree, parts):
             raise AssertionError("the tree was subdivided")
 
@@ -242,8 +244,33 @@ class TestVerify:
         assert code == 4
         assert capsys.readouterr().err == (
             "error: subdivision 20 gives 101 vertices, so the 0-cell layer alone"
-            " is above the cap 100\n"
+            " has at least 5050 cells, above the cap 100\n"
         )
+
+    def test_vertices_under_the_cap_with_cells_over_it_exit_4_before_cutting(
+            self, tree_file, capsys, monkeypatch):
+        # 1,500,001 vertices fit the default cap, their C(V, 2) 0-cells do not
+        def cut(tree, parts):
+            raise AssertionError("the tree was subdivided")
+
+        monkeypatch.setattr(cubes, "subdivide_edges", cut)
+        code = cli.main([
+            "verify", "--tree", tree_file(HTREE), "--n", "2", "--subdivision", "300000",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "error: subdivision 300000 gives 1500001 vertices, so the 0-cell layer alone"
+            " has at least 1125000750000 cells, above the cap 5000000\n"
+        )
+
+    def test_a_refused_first_level_leaves_no_out_directory(self, tree_file, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main([
+            "verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", "100",
+            "--out", str(out),
+        ])
+        assert code == 4
+        assert not out.exists()
 
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_cell_cap_below_one_is_a_usage_error(self, tree_file, capsys, cap):

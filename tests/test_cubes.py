@@ -94,6 +94,14 @@ class TestBuild:
         assert cx.cell_counts() == [1, 0, 0, 0]
         assert peak < 60 * 2**20
 
+    def test_n0_on_a_fine_cut_counts_no_matchings(self, htree, monkeypatch):
+        def walk(tree, top):
+            raise AssertionError("matchings were counted")
+
+        monkeypatch.setattr(cubes, "matching_counts", walk)
+        fine = trees.subdivide_edges(htree, 10000)
+        assert build_complex(fine, 0).cell_counts() == [1, 0, 0, 0]
+
     def test_faces_are_cells(self, htree):
         fine = trees.subdivide_edges(htree, 2 + 1)
         cx = build_complex(fine, 2, d_max=2)
@@ -324,19 +332,20 @@ class TestOracleReport:
 
     def test_a_cut_with_more_vertices_than_the_cap_is_not_made(self, htree, monkeypatch):
         # 6 vertices and 5 edges: 20 pieces per edge give 101 vertices, and
-        # at n=2 as many 0-cells at least
+        # at n=2 C(101, 2) = 5050 0-cells
         real = cubes.subdivide_edges
         monkeypatch.setattr(cubes, "subdivide_edges", None)
-        with pytest.raises(ResourceCapError, match="^subdivision 20 gives 101 vertices") as info:
+        with pytest.raises(ResourceCapError, match="^subdivision 20 gives 101 vertices, so the"
+                           " 0-cell layer alone has at least 5050 cells") as info:
             oracle_report(htree, 2, parts=20, cell_cap=100)
-        assert (info.value.cells, info.value.cap) == (101, 100)
+        assert (info.value.cells, info.value.cap) == (5050, 100)
         # no strand, one cell: the cap is not reached, however fine the cut
         monkeypatch.setattr(cubes, "subdivide_edges", real)
         assert oracle_report(htree, 0, parts=20, cell_cap=1).cell_counts == (1, 0, 0, 0)
         # at the cap the cut is made, and its largest layer is refused as before
-        worst = max(layer_sizes(real(htree, 20), 2, 3))
-        with pytest.raises(ResourceCapError, match=f"^largest cell layer has {worst} cells"):
-            oracle_report(htree, 2, parts=20, cell_cap=101)
+        assert layer_sizes(real(htree, 20), 2, 3) == [5050, 9900, 4849, 0]
+        with pytest.raises(ResourceCapError, match="^largest cell layer has 9900 cells"):
+            oracle_report(htree, 2, parts=20, cell_cap=5050)
 
     def test_boundary_is_checked_before_betti(self, tripod, monkeypatch):
         # a wrong row in boundary_2 stops the report: no Betti number is

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from treebraid.cubes import boundary_matrix, build_complex
 from treebraid.homology import (
     SparseIntMatrix,
     chain_homology,
@@ -13,6 +14,7 @@ from treebraid.homology import (
     rank_and_factors,
     smith_diagonal,
 )
+from treebraid.trees import subdivide_edges
 
 from conftest import deadline
 
@@ -256,6 +258,41 @@ class TestEliminateUnits:
         units, dense = eliminate_units(m)
         assert (units, dense) == (1, [[2]])
         assert m.pivot_rows == [0]
+
+    @pytest.mark.parametrize("rows, first", [
+        # units of column 0 in rows of 3 and 2 entries; row 2's 2 is no unit
+        ([[1, 1, 1], [1, 0, 1], [2, 1, 0]], 1),
+        # units of column 0 in rows 1 and 2, of 2 entries each
+        ([[0, 1, 1], [1, 1, 0], [-1, 0, 1]], 1),
+    ])
+    def test_pivot_is_the_shortest_unit_row_then_the_lowest(self, rows, first):
+        m = sparse_from_dense(rows)
+        eliminate_units(m)
+        assert m.pivot_rows[0] == first
+
+    def test_a_unit_made_by_fill_in_a_swept_column_is_pivoted(self):
+        # column 0 has no unit; pivoting on row 0 in column 1 leaves 3 - 2 = 1
+        # in row 1, column 0, which a single sweep would leave as [[1]]
+        m = sparse_from_dense([[2, 1], [3, 1]])
+        assert eliminate_units(m) == (2, [])
+        assert m.pivot_rows == [0, 1]
+
+    def test_fill_stays_bounded_on_a_cube_boundary(self, htree):
+        # the shortest unit row of each column writes 44,318 entries of the
+        # unreduced boundary_2 at n=4, 3 pieces; the first unit row in set
+        # order wrote 956,460
+        class Counting(dict):
+            writes = 0
+
+            def __setitem__(self, key, value):
+                Counting.writes += 1
+                super().__setitem__(key, value)
+
+        cx = build_complex(subdivide_edges(htree, 3), 4)
+        m = boundary_matrix(cx, 2).to_sparse()
+        m.rows = {r: Counting(row) for r, row in m.rows.items()}
+        assert eliminate_units(m) == (3629, [])     # the rank of boundary_2
+        assert Counting.writes <= 100_000
 
 
 class TestRankAndFactors:
