@@ -19,11 +19,12 @@ Arm vectors are enumerated in lex order by prefix extension: each vector
 of the (total, k) level is a prefix, a run of zeros and then a nonzero
 count f, followed by a vector of the level with total - f and the arms
 that remain.  Each level is built once per process and cached as a tuple
-of tuples; ``arm_vectors``, both vertex lists (so ``star_edges`` and
-``basis``) and ``rank_from_euler`` all read that one table.  Edges come in
-(a, p) order; the vertex lists, the edges, the spanning tree and the basis
-all come out in that order, unsorted.  Type II vertices are the vectors
-with at most k - 2 empty arms.
+of tuples; ``arm_vectors``, both vertex lists, ``star_edges``, ``basis``
+and ``rank_from_euler`` all read that one table, and ``basis`` reads its
+edges straight off the level without listing the tree edges.  Edges come
+in (a, p) order; the vertex lists, the edges and the basis all come out in
+that order, unsorted.  Type II vertices are the vectors with at most
+k - 2 empty arms.
 
 Each non-base vertex has a canonical *successor* edge; the successor edges
 form a spanning tree of the complex, and the edges outside it are a free
@@ -34,7 +35,7 @@ which is what makes the glued presentations of whole trees stable in n.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress, repeat
 from math import comb
 from operator import methodcaller
 from typing import NamedTuple
@@ -119,13 +120,6 @@ def star_edges(k: int, n: int) -> list[StarEdge]:
     return [_edge((a, p)) for a in type2_vertices(k, n) for p in compress(arms, a)]
 
 
-def base_vertex(k: int, n: int) -> tuple[int, ...]:
-    """The Type I vertex with every strand on arm 1 (requires n >= 1)."""
-    if n < 1:
-        raise ValueError("the empty configuration has no hub vertex")
-    return (n - 1,) + (0,) * (k - 1)
-
-
 def last_occupied_arm(a: tuple[int, ...]) -> int:
     """Largest 1-based index with a strand on it."""
     for j in range(len(a), 0, -1):
@@ -157,24 +151,33 @@ def is_tree_edge(edge: StarEdge) -> bool:
     return edge.p == 1 or not any(edge.a[edge.p:])
 
 
-def spanning_tree(k: int, n: int) -> tuple[StarEdge, ...]:
-    """Successor edges of every non-base vertex, in (a, p) order: a maximal
-    tree of the complex."""
-    return tuple(filter(is_tree_edge, star_edges(k, n)))
-
-
 @lru_cache(maxsize=None)
 def basis(k: int, n: int) -> tuple[StarEdge, ...]:
     """Edges outside the spanning tree, in (a, p) order: a free basis of the
-    n-strand group of a k-arm star, in closed form the edges (a, p) with
-    a[p-1] >= 1 and p neither 1 nor the last occupied arm.
+    n-strand group of a k-arm star.
+
+    The tree holds each vertex's successor edge, the edges with p = 1 or p
+    the last occupied arm, so the basis is, in closed form, the edges (a, p)
+    with a[p-1] >= 1 and 1 < p < last occupied arm.  It is read straight off
+    the (n, k) arm-vector level: for each Type II vertex a, the occupied arms
+    among 2 .. last - 1, found by ``compress`` with no Python-level call
+    per edge.
 
     Cached: assembling presentations sweeps the same (k, n) levels over and
     over, and every level embeds in the next.
     """
     if k < 2 or n < 0:
         raise ValueError(f"a star needs k >= 2 arms and n >= 0 strands, got k={k}, n={n}")
-    return tuple(filterfalse(is_tree_edge, star_edges(k, n)))
+    most_empty = k - 2
+    arms_down = range(k, 0, -1)     # compress over reversed(a): last occupied first
+    inner = range(2, k + 1)         # compress over a[1:last - 1]: 2 .. last - 1
+    edges = []
+    for a in _vectors(n, k):
+        if a.count(0) > most_empty:     # not a Type II vertex
+            continue
+        last = next(compress(arms_down, reversed(a)))
+        edges.extend(map(_edge, zip(repeat(a), compress(inner, a[1:last - 1]))))
+    return tuple(edges)
 
 
 # bound once, so that rank_once still empties this cache after the name
@@ -200,8 +203,8 @@ def rank_from_euler(k: int, n: int) -> int:
     that the basis enumerates: the Type I vertices are the (n - 1, k)
     level, and each vector of the (n, k) level with at most k - 2 empty
     arms is a Type II vertex with one edge per occupied arm.  No spanning
-    tree is involved, so this agrees with the basis size only if
-    ``is_tree_edge`` keeps exactly one edge per non-base vertex.
+    tree is involved, so this agrees with the basis size only if the rule
+    in ``basis`` leaves out exactly one edge per non-base vertex.
     """
     if n == 0:
         return 0

@@ -1,0 +1,18 @@
+"""Test-side companions of ``treebraid.stars``: the base vertex and the
+spanning tree of successor edges, listed edge by edge with ``is_tree_edge``.
+``stars.basis`` reads its complement in closed form; the tests check the
+tree's shape here and the basis against it.  None is needed by a command."""
+from treebraid.stars import StarEdge, is_tree_edge, star_edges
+
+
+def base_vertex(k: int, n: int) -> tuple[int, ...]:
+    """The Type I vertex with every strand on arm 1 (requires n >= 1)."""
+    if n < 1:
+        raise ValueError("the empty configuration has no hub vertex")
+    return (n - 1,) + (0,) * (k - 1)
+
+
+def spanning_tree(k: int, n: int) -> tuple[StarEdge, ...]:
+    """Successor edges of every non-base vertex, in (a, p) order: a maximal
+    tree of the complex."""
+    return tuple(filter(is_tree_edge, star_edges(k, n)))

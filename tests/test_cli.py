@@ -427,6 +427,19 @@ class TestPinnedOutput:
         assert cli.main(argv) == 0
         assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.TABLE
 
+    def test_star_table_builds_no_edge_list(self, capsys, monkeypatch):
+        # each basis is read off its arm-vector level, not filtered out of
+        # the full edge list edge by edge
+        def refuse(*args):
+            raise AssertionError("table built an edge list")
+
+        monkeypatch.setattr(stars, "star_edges", refuse)
+        monkeypatch.setattr(stars, "is_tree_edge", refuse)
+        stars.basis.cache_clear()
+        argv = ["table", "--k-min", "2", "--k-max", "8", "--n-min", "0", "--n-max", "9"]
+        assert cli.main(argv) == 0
+        assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.TABLE
+
 
 class TestTable:
     def test_default_grid(self, capsys):

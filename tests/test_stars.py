@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, filterfalse, product
 from math import comb
 from operator import sub
 
@@ -12,7 +12,6 @@ from treebraid.stars import (
     StarEdge,
     add_strand,
     arm_vectors,
-    base_vertex,
     basis,
     capacity,
     is_tree_edge,
@@ -21,13 +20,13 @@ from treebraid.stars import (
     rank_closed_form,
     rank_from_euler,
     rank_once,
-    spanning_tree,
     star_edges,
     type1_successor,
     type1_vertices,
     type2_successor,
     type2_vertices,
 )
+from star_reference import base_vertex, spanning_tree
 
 ALL_KN = [(k, n) for k in range(2, 6) for n in range(7)]
 
@@ -271,6 +270,18 @@ class TestBasis:
         assert len(four) == 6
         assert all(e.p == 2 and e.a[1] >= 1 and e.a[2] >= 1 for e in four)
 
+    @pytest.mark.parametrize(
+        "k,n", [(k, n) for k in range(2, 9) for n in range(10)] + [(40, 3), (120, 2), (1200, 1)]
+    )
+    def test_is_the_complement_of_the_tree_edges(self, k, n, request):
+        # basis reads its edges off the arm-vector level in closed form; the
+        # tree edges, filtered out edge by edge, must leave the same tuple
+        request.addfinalizer(basis.cache_clear)
+        request.addfinalizer(stars._vectors.cache_clear)
+        got = basis(k, n)
+        assert got == tuple(filterfalse(is_tree_edge, star_edges(k, n)))
+        assert all(type(e) is StarEdge for e in got)
+
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_closed_form_membership(self, k, n):
         for e in star_edges(k, n):
@@ -294,23 +305,24 @@ class TestRank:
         assert len(type1_vertices(3, 3)) + len(type2_vertices(3, 3)) == 13
         assert len(star_edges(3, 3)) == 15
 
-    def test_edges_are_enumerated_once_per_level(self, monkeypatch):
-        calls = []
-        real = stars.star_edges
-        monkeypatch.setattr(stars, "star_edges", lambda k, n: calls.append((k, n)) or real(k, n))
-        basis.cache_clear()
-        for k, n in [(3, 4), (5, 3), (3, 4)]:
-            rank(k, n)
-        assert calls == [(3, 4), (5, 3)]
-
-    def test_euler_witness_catches_a_wrong_spanning_tree(self, monkeypatch, request):
-        # dropping the last-occupied-arm successor leaves too many basis
-        # edges; the Euler count never asks which edges are tree edges
-        monkeypatch.setattr(stars, "is_tree_edge", lambda e: e.p == 1)
+    def test_edges_are_enumerated_once_per_level(self, request):
         basis.cache_clear()
         request.addfinalizer(basis.cache_clear)
-        assert rank_from_euler(3, 4) == rank_closed_form(3, 4)
-        with pytest.raises(RankMismatchError):
+        misses = []
+        for k, n in [(3, 4), (5, 3), (3, 4)]:
+            rank(k, n)
+            misses.append(basis.cache_info().misses)
+        assert misses == [1, 2, 2]
+        assert basis.cache_info().hits == 1
+
+    def test_euler_witness_catches_a_wrong_spanning_tree(self, monkeypatch):
+        # a tree without the last-occupied-arm successors leaves too many
+        # basis edges; the Euler count never asks which edges are tree edges
+        monkeypatch.setattr(
+            stars, "basis", lambda k, n: tuple(e for e in star_edges(k, n) if e.p != 1)
+        )
+        assert rank_from_euler(3, 4) == rank_closed_form(3, 4) == 6
+        with pytest.raises(RankMismatchError, match="enumerated=18, euler=6, closed_form=6"):
             rank(3, 4)
 
     def test_each_vector_level_is_built_once(self, request):
