@@ -17,6 +17,10 @@ is one integer, its key: vertex v sets bit v, and the i-th edge in sorted
 order sets bit V + i, for V vertices.  Each layer is in ascending key
 order, which is reproducible.
 
+``oracle_report`` is the one place the cell cap is checked, before the
+tree is cut: ``layer_sizes`` counts every layer exactly from the vertex
+degrees of the uncut tree.
+
 ``betti`` is one pass from the top dimension down.  Each boundary_d is
 built once, as flat face rows found by key arithmetic; it is
 checked against boundary_{d+1} (boundary^2 == 0, exactly) before it is
@@ -29,7 +33,7 @@ from math import comb
 from typing import NamedTuple
 
 from .homology import SparseIntMatrix, chain_homology
-from .trees import Tree, bfs_parents, subdivide_edges
+from .trees import Tree, subdivide_edges
 
 DEFAULT_CELL_CAP = 5_000_000
 
@@ -103,67 +107,51 @@ def _disjoint_edges(masks, offset: int, size: int, start: int = 0,
                                        bits | 1 << (offset + i), used | mask)
 
 
-def matching_counts(tree: Tree, top: int) -> list[int]:
-    """[m_0, .., m_top]: the number of d-edge matchings of tree.
-
-    One pass from the leaves up keeps, per vertex, the matching polynomials
-    of its subtree truncated at degree top: with the vertex left unmatched,
-    and in total.
-    """
-
-    def mul(a, b):
-        out = [0] * (top + 1)
-        for i, x in enumerate(a):
-            if x:
-                for j in range(top + 1 - i):
-                    out[i + j] += x * b[j]
-        return out
-
-    unit = [1] + [0] * top
-    root = tree.vertices[0]
-    parent = bfs_parents(tree, root)
-    unmatched: dict[str, list[int]] = {}
-    total: dict[str, list[int]] = {}
-    for v in reversed(parent):     # children before their parents
-        free, matched = unit, [0] * (top + 1)
-        for c in tree.neighbors(v):
-            if c == parent[v]:
-                continue
-            via_edge = [0] + unmatched[c][:top]      # the edge v-c is used
-            matched = [a + b for a, b in zip(mul(matched, total[c]), mul(free, via_edge))]
-            free = mul(free, total[c])
-        unmatched[v] = free
-        total[v] = [a + b for a, b in zip(free, matched)]
-    return total[root]
-
-
-def layer_sizes(tree: Tree, n: int, d_max: int) -> list[int]:
-    """Exact cell count of each dimension 0..d_max for n strands on tree.
+def layer_sizes(tree: Tree, n: int, d_max: int, parts: int = 1) -> list[int]:
+    """Exact cell count of each dimension 0..d_max for n strands on tree
+    with every edge cut into ``parts`` pieces, read off the vertex degrees
+    and edge endpoints without making the cut.
 
     A d-cell is a d-edge matching plus n - d of the V - 2d vertices it
-    leaves uncovered, so there are m_d * C(V - 2d, n - d) of them.  At n = 0
-    the one cell is empty, and no matching is counted.
+    leaves uncovered, so there are m_d * C(V - 2d, n - d) of them.  In a
+    tree two edges share at most one vertex and no cycle exists.  So with
+    A = sum C(deg v, 2) pairs of edges at a vertex, S = sum C(deg v, 3)
+    triples at a vertex and P = sum over edges uw of (deg u - 1)(deg w - 1)
+    paths of three edges, counted by their middle edge: m_2 = C(E, 2) - A;
+    and, as the A(E - 2) triples through a pair at a vertex count a triple
+    with one such pair once, a path twice and three edges at a vertex three
+    times, m_3 = C(E, 3) - A(E - 2) + P + 2S.  The cut adds (parts - 1)E vertices
+    of degree 2 and nothing else, so S stays as it is.  The closed form
+    stops at m_3, as ``build_complex`` does.  At n = 0 the one cell is
+    empty, and no degree is read.
     """
+    if not 1 <= d_max <= 3:
+        raise ValueError(f"d_max must be 1..3, got {d_max}")
     if not n:
         return [1] + [0] * d_max
-    m = matching_counts(tree, min(d_max, n))
-    nv = len(tree.vertices)
+    deg = tree.degree
+    added = (parts - 1) * len(tree.edges)   # the cut's vertices, each of degree 2
+    pairs = sum(comb(deg(v), 2) for v in tree.vertices) + added
+    claws = sum(comb(deg(v), 3) for v in tree.vertices)
+    if parts == 1:
+        paths = sum((deg(u) - 1) * (deg(w) - 1) for u, w in tree.edges)
+    else:   # per edge, a piece at each end and parts - 2 between degree-2 ends
+        paths = sum(deg(u) + deg(w) + parts - 4 for u, w in tree.edges)
+    nv, ne = len(tree.vertices) + added, parts * len(tree.edges)
+    m = (1, ne, comb(ne, 2) - pairs, comb(ne, 3) - pairs * (ne - 2) + paths + 2 * claws)
     return [
         m[d] * comb(nv - 2 * d, n - d) if d <= n and m[d] else 0
         for d in range(d_max + 1)
     ]
 
 
-def build_complex(
-    tree: Tree, n: int, d_max: int = 3, cell_cap: int = DEFAULT_CELL_CAP
-) -> CubeComplex:
+def build_complex(tree: Tree, n: int, d_max: int = 3) -> CubeComplex:
     """Enumerate all cells of dimension <= d_max for n strands on tree.
 
     The tree must already be subdivided finely enough for n (every edge in
-    at least max(1, n - 1) pieces, after Prue and Scrimshaw); this is the
-    caller's contract, which ``oracle_report`` enforces.  Refuses to
-    start if any layer would hold more than cell_cap cells; the layer
-    sizes are counted exactly beforehand by ``layer_sizes``.
+    at least max(1, n - 1) pieces, after Prue and Scrimshaw), and its
+    layers must fit the cell cap; both are the caller's contract, which
+    ``oracle_report`` enforces.
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
@@ -172,12 +160,6 @@ def build_complex(
     nv = len(tree.vertices)
     if n > nv:
         raise ValueError(f"cannot place {n} strands on {nv} vertices")
-    worst = max(layer_sizes(tree, n, d_max))
-    if worst > cell_cap:
-        raise ResourceCapError(
-            f"largest cell layer has {worst} cells, above the cap {cell_cap}",
-            cells=worst, cap=cell_cap,
-        )
 
     # at n = 0 the one cell is empty, and no mask would be read
     masks = [(1 << u) | (1 << w) for u, w in _interned_edges(tree)] if n else []
@@ -332,6 +314,8 @@ def oracle_report(
     """Homology of the n-strand cube complex of tree, every edge cut into
     max(1, n - 1) pieces unless parts asks for more (Prue-Scrimshaw), read
     only after the boundary of every boundary is checked to be zero.
+    Refuses, before cutting, a complex whose largest cell layer, counted
+    exactly by ``layer_sizes``, holds more than cell_cap cells.
     """
     floor = max(1, n - 1)
     if parts is None:
@@ -340,16 +324,11 @@ def oracle_report(
         raise ValueError(
             f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
         )
-    nv = len(tree.vertices) + (parts - 1) * len(tree.edges)
-    if 0 < n < nv:
-        # before cutting: C(nv, n) = C(nv, min(n, nv - n)) 0-cells, and C(nv, j)
-        # grows up to j = nv / 2, so at least C(nv, k), cheap for k <= 2 at any nv
-        least = comb(nv, min(n, nv - n, 2))
-        if least > cell_cap:
-            raise ResourceCapError(f"subdivision {parts} gives {nv} vertices, so the 0-cell layer"
-                                   f" alone has at least {least} cells, above the cap {cell_cap}",
-                                   cells=least, cap=cell_cap)
-    return betti(build_complex(subdivide_edges(tree, parts), n, d_max=d_max, cell_cap=cell_cap))
+    worst = max(layer_sizes(tree, n, d_max, parts))
+    if worst > cell_cap:
+        raise ResourceCapError(f"largest cell layer has {worst} cells, above the cap {cell_cap}",
+                               cells=worst, cap=cell_cap)
+    return betti(build_complex(subdivide_edges(tree, parts), n, d_max=d_max))
 
 
 def raag_clique_counts(pres) -> tuple[int, int, int]:

@@ -1,6 +1,8 @@
 """Test-side companions of ``treebraid.cubes``: cells as tuples, decoded
-from their integer keys and enumerated by brute force; the tuple-based face
-rule the flat boundary rows are checked against; and a spanning-tree
+from their integer keys and enumerated by brute force; matching counts of
+any size, by a polynomial pass over the tree and by brute force, which
+``cubes.layer_sizes``'s closed form is checked against; the tuple-based
+face rule the flat boundary rows are checked against; and a spanning-tree
 presentation of the fundamental group of the 2-skeleton, whose
 abelianization is checked against b_1.  None is needed by a command."""
 from collections import deque
@@ -9,6 +11,7 @@ from typing import NamedTuple
 
 from treebraid.cubes import CubeComplex
 from treebraid.homology import SparseIntMatrix, rank_and_factors
+from treebraid.trees import bfs_parents
 
 Cell = tuple[tuple[tuple[int, int], ...], tuple[int, ...]]   # (edges, vertices)
 
@@ -58,6 +61,52 @@ def brute_force_cells(tree, n: int, d: int) -> set[Cell]:
         free = [v for v in range(len(tree.vertices)) if v not in covered]
         out.update((chosen, verts) for verts in combinations(free, n - d))
     return out
+
+
+def matching_counts(tree, top: int) -> list[int]:
+    """[m_0, .., m_top]: the number of d-edge matchings of tree, for any top.
+
+    One pass from the leaves up keeps, per vertex, the matching polynomials
+    of its subtree truncated at degree top: with the vertex left unmatched,
+    and in total.
+    """
+
+    def mul(a, b):
+        out = [0] * (top + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j in range(top + 1 - i):
+                    out[i + j] += x * b[j]
+        return out
+
+    unit = [1] + [0] * top
+    root = tree.vertices[0]
+    parent = bfs_parents(tree, root)
+    unmatched: dict[str, list[int]] = {}
+    total: dict[str, list[int]] = {}
+    for v in reversed(parent):     # children before their parents
+        free, matched = unit, [0] * (top + 1)
+        for c in tree.neighbors(v):
+            if c == parent[v]:
+                continue
+            via_edge = [0] + unmatched[c][:top]      # the edge v-c is used
+            matched = [a + b for a, b in zip(mul(matched, total[c]), mul(free, via_edge))]
+            free = mul(free, total[c])
+        unmatched[v] = free
+        total[v] = [a + b for a, b in zip(free, matched)]
+    return total[root]
+
+
+def brute_force_matchings(tree, top: int) -> list[int]:
+    """[m_0, .., m_top], counting every d-set of edges with 2d endpoints.
+
+    With each edge as the mask of its two endpoints, the sum of d masks
+    keeps all 2d bits only when no two masks share one: a shared bit
+    carries, and popcount(x + y) is popcount(x) + popcount(y) less the
+    number of carries."""
+    masks = [1 << u | 1 << w for u, w in interned_edges(tree)]
+    return [sum(key.bit_count() == 2 * d for key in map(sum, combinations(masks, d)))
+            for d in range(top + 1)]
 
 
 def cell_faces(cell: Cell) -> list[tuple[Cell, int]]:

@@ -1,7 +1,10 @@
 import gc
 import json
 import random
+import re
+import shlex
 from hashlib import sha256
+from pathlib import Path
 
 import pytest
 
@@ -221,8 +224,6 @@ class TestVerify:
         assert seen == [11]
 
     def test_cell_cap_exits_4(self, tree_file, capsys):
-        # 3 pieces per edge give 16 vertices, at least C(16, 2) = 120
-        # 0-cells, so the cut is made under this cap
         code = cli.main([
             "verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", "1000",
         ])
@@ -232,7 +233,7 @@ class TestVerify:
 
     def test_subdivision_above_the_cap_exits_4_before_cutting(self, tree_file, capsys, monkeypatch):
         # the H-tree's 6 vertices and 5 edges, cut into 20 pieces, give 101
-        # vertices, so at n=2 C(101, 2) = 5050 0-cells
+        # vertices and 100 edges, so at n=2 100 * 99 = 9900 1-cells
         def cut(tree, parts):
             raise AssertionError("the tree was subdivided")
 
@@ -243,13 +244,13 @@ class TestVerify:
         ])
         assert code == 4
         assert capsys.readouterr().err == (
-            "error: subdivision 20 gives 101 vertices, so the 0-cell layer alone"
-            " has at least 5050 cells, above the cap 100\n"
+            "error: largest cell layer has 9900 cells, above the cap 100\n"
         )
 
     def test_vertices_under_the_cap_with_cells_over_it_exit_4_before_cutting(
             self, tree_file, capsys, monkeypatch):
-        # 1,500,001 vertices fit the default cap, their C(V, 2) 0-cells do not
+        # 1,500,001 vertices fit the default cap; their 1,500,000 edges, each
+        # with 1,499,999 other vertices, give 2,249,998,500,000 1-cells
         def cut(tree, parts):
             raise AssertionError("the tree was subdivided")
 
@@ -259,8 +260,7 @@ class TestVerify:
         ])
         assert code == 4
         assert capsys.readouterr().err == (
-            "error: subdivision 300000 gives 1500001 vertices, so the 0-cell layer alone"
-            " has at least 1125000750000 cells, above the cap 5000000\n"
+            "error: largest cell layer has 2249998500000 cells, above the cap 5000000\n"
         )
 
     def test_a_refused_first_level_leaves_no_out_directory(self, tree_file, tmp_path):
@@ -693,3 +693,16 @@ class TestInputFuzz:
             assert code in (0, 1, 2), data
             codes.add(code)
         assert {0, 1} <= codes    # the damage reaches both accepted and rejected input
+
+
+class TestReadme:
+    def test_every_readme_command_parses(self):
+        # the command-line block and every inline `treebraid ...` span
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.splitlines() if line.startswith("treebraid ")]
+        commands += re.findall(r"`(treebraid\s[^`]+)`", text)
+        assert len(commands) >= 5, commands
+        for command in commands:
+            argv = shlex.split(command)[1:]
+            assert cli.build_parser().parse_args(argv).command == argv[0], command

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from math import comb
 
@@ -23,9 +24,11 @@ from conftest import tree_from_edges
 from cube_reference import (
     DisconnectedComplexError,
     brute_force_cells,
+    brute_force_matchings,
     cell_faces,
     decoded_layers,
     decoder,
+    matching_counts,
     pi1_presentation,
 )
 
@@ -35,6 +38,14 @@ FIXTURE_TREES = ["interval", "tripod", "star4", "htree", "caterpillar3", "caterp
 def path_tree(edges_count):
     labels = [str(i) for i in range(edges_count + 1)]
     return tree_from_edges(list(zip(labels, labels[1:])), "0")
+
+
+def random_tree(rng, size):
+    """A tree on size vertices, each after the first joined to an earlier one."""
+    edges = [(f"v{rng.randrange(i)}", f"v{i}") for i in range(1, size)]
+    leaf = next(v for v in (f"v{i}" for i in range(size))
+                if sum(v in e for e in edges) == 1)
+    return tree_from_edges(edges, leaf)
 
 
 def columns(m):
@@ -94,13 +105,12 @@ class TestBuild:
         assert cx.cell_counts() == [1, 0, 0, 0]
         assert peak < 60 * 2**20
 
-    def test_n0_on_a_fine_cut_counts_no_matchings(self, htree, monkeypatch):
-        def walk(tree, top):
-            raise AssertionError("matchings were counted")
+    def test_n0_counts_one_cell_without_reading_the_tree(self):
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"the tree's {name} was read")
 
-        monkeypatch.setattr(cubes, "matching_counts", walk)
-        fine = trees.subdivide_edges(htree, 10000)
-        assert build_complex(fine, 0).cell_counts() == [1, 0, 0, 0]
+        assert layer_sizes(Unread(), 0, 3, parts=10000) == [1, 0, 0, 0]
 
     def test_faces_are_cells(self, htree):
         fine = trees.subdivide_edges(htree, 2 + 1)
@@ -133,9 +143,8 @@ class TestBuild:
                 assert set(cells) == brute_force_cells(fine, n, d), (n, d)
 
     def test_resource_cap(self, htree):
-        fine = trees.subdivide_edges(htree, 4 + 1)
         with pytest.raises(ResourceCapError):
-            build_complex(fine, 4, cell_cap=1000)
+            oracle_report(htree, 4, parts=3, cell_cap=1000)
 
     @pytest.mark.parametrize(
         "name", ["interval", "tripod", "star4", "htree", "caterpillar3"]
@@ -153,16 +162,51 @@ class TestBuild:
 
     def test_cap_bounds_the_largest_layer(self, htree):
         # the 2-cells (5874) outnumber the 0- and 1-cells (1820, 5460)
-        fine = trees.subdivide_edges(htree, 3)
-        assert layer_sizes(fine, 4, 3) == [1820, 5460, 5874, 2680]
+        assert layer_sizes(htree, 4, 3, parts=3) == [1820, 5460, 5874, 2680]
         with pytest.raises(ResourceCapError, match="5874") as info:
-            build_complex(fine, 4, cell_cap=5873)
+            oracle_report(htree, 4, parts=3, cell_cap=5873)
         assert (info.value.cells, info.value.cap) == (5874, 5873)
-        assert build_complex(fine, 4, cell_cap=5874).cell_counts() == [1820, 5460, 5874, 2680]
+        assert oracle_report(htree, 4, parts=3, cell_cap=5874).cell_counts == (1820, 5460, 5874, 2680)
 
     def test_too_many_strands(self):
         with pytest.raises(ValueError):
             build_complex(path_tree(1), 3)
+
+
+class TestLayerSizes:
+    """The closed form of ``layer_sizes`` against two matching counts that
+    make the cut: the reference DP and brute force over edge triples."""
+
+    def test_against_the_matchings_of_the_cut(self):
+        rng = random.Random(2226)
+        for trial in range(300):
+            tree = random_tree(rng, rng.randint(2, 14))
+            for parts in range(1, 5):
+                fine = trees.subdivide_edges(tree, parts)
+                m = matching_counts(fine, 3)
+                assert m == brute_force_matchings(fine, 3), (trial, parts)
+                nv = len(fine.vertices)
+                for n in range(6):
+                    cells = [m[d] * comb(max(nv - 2 * d, 0), n - d) if d <= n else 0
+                             for d in range(4)]
+                    for d_max in (1, 2, 3):
+                        assert layer_sizes(tree, n, d_max, parts) == cells[:d_max + 1], \
+                            (trial, tree.edges, parts, n, d_max)
+
+    @pytest.mark.parametrize("name", FIXTURE_TREES)
+    def test_parts_count_the_cut(self, name, request):
+        tree = request.getfixturevalue(name)
+        for parts in range(1, 5):
+            fine = trees.subdivide_edges(tree, parts)
+            for n in range(6):
+                for d_max in (1, 2, 3):
+                    assert layer_sizes(tree, n, d_max, parts) == layer_sizes(fine, n, d_max), \
+                        (parts, n, d_max)
+
+    @pytest.mark.parametrize("d_max", [0, 4])
+    def test_d_max_outside_1_to_3_is_refused(self, htree, d_max):
+        with pytest.raises(ValueError, match=f"d_max must be 1..3, got {d_max}"):
+            layer_sizes(htree, 2, d_max)
 
 
 class TestBoundary:
@@ -331,21 +375,21 @@ class TestOracleReport:
             oracle_report(tripod, 3, parts=1)
 
     def test_a_cut_with_more_vertices_than_the_cap_is_not_made(self, htree, monkeypatch):
-        # 6 vertices and 5 edges: 20 pieces per edge give 101 vertices, and
-        # at n=2 C(101, 2) = 5050 0-cells
+        # 6 vertices and 5 edges: 20 pieces per edge give 101 vertices and 100
+        # edges, and at n=2 100 * 99 = 9900 1-cells
         real = cubes.subdivide_edges
         monkeypatch.setattr(cubes, "subdivide_edges", None)
-        with pytest.raises(ResourceCapError, match="^subdivision 20 gives 101 vertices, so the"
-                           " 0-cell layer alone has at least 5050 cells") as info:
-            oracle_report(htree, 2, parts=20, cell_cap=100)
-        assert (info.value.cells, info.value.cap) == (5050, 100)
+        for cap in (100, 9899):
+            with pytest.raises(ResourceCapError) as info:
+                oracle_report(htree, 2, parts=20, cell_cap=cap)
+            assert str(info.value) == f"largest cell layer has 9900 cells, above the cap {cap}"
+            assert (info.value.cells, info.value.cap) == (9900, cap)
         # no strand, one cell: the cap is not reached, however fine the cut
         monkeypatch.setattr(cubes, "subdivide_edges", real)
         assert oracle_report(htree, 0, parts=20, cell_cap=1).cell_counts == (1, 0, 0, 0)
-        # at the cap the cut is made, and its largest layer is refused as before
+        # the count before the cut is the count of the cut
+        assert layer_sizes(htree, 2, 3, parts=20) == [5050, 9900, 4849, 0]
         assert layer_sizes(real(htree, 20), 2, 3) == [5050, 9900, 4849, 0]
-        with pytest.raises(ResourceCapError, match="^largest cell layer has 9900 cells"):
-            oracle_report(htree, 2, parts=20, cell_cap=5050)
 
     def test_boundary_is_checked_before_betti(self, tripod, monkeypatch):
         # a wrong row in boundary_2 stops the report: no Betti number is
