@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -110,6 +111,13 @@ def _check_levels(tree, levels, args) -> int:
     from the tree's arm counts in spine order alone; the oracle builds its
     complex on the input tree itself."""
     out_dir = Path(args.out) if args.out else None
+    if out_dir:
+        # refused before the oracle runs: the nearest existing path on the
+        # way to --out must be a directory
+        target = Path(os.path.abspath(out_dir))
+        existing = next(p for p in (target, *target.parents) if os.path.lexists(p))
+        if not existing.is_dir():
+            raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
     header = f"{'n':>3} {'gens':>6} {'rels':>6} {'tris':>6} {'b1':>6} {'b2':>6} {'b3':>4} {'status':>8}"
     print(header)
     failed = False

@@ -14,9 +14,10 @@ defining graph: vertices = generators, edges = commuting pairs, and a
 the pairs sorted.  The JSON and DOT exports write these fields as they are,
 each through a fixed template.
 
-``Generator``, ``Presentation`` and ``StabilizationMap`` are NamedTuples:
-a generator's natural order is (star, a, p), and it hashes and compares
-as the tuple (star, edge), so sorting and index lookups run in C.
+``Generator``, ``Presentation`` and ``StabilizationMap`` are NamedTuples.
+A generator is the flat record (star, a, p), the fields of its JSON object
+in the same order, so it hashes and compares as that tuple and sorting and
+index lookups run in C.
 
 ``assemble`` realizes that sweep literally, by iterating strand-addition
 maps; ``commutation_predicate`` is the equivalent closed form in terms of
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .stars import StarEdge, add_strand, basis, capacity
+from .stars import add_strand, basis, capacity
 
 
 class SameStarError(ValueError):
@@ -39,10 +40,11 @@ class NaturalityError(RuntimeError):
 
 
 class Generator(NamedTuple):
-    """A basis edge of star number ``star`` (1-based along the spine)."""
+    """The basis edge (a, p) of star number ``star``, 1-based along the spine."""
 
     star: int
-    edge: StarEdge
+    a: tuple[int, ...]
+    p: int
 
 
 class Presentation(NamedTuple):
@@ -84,7 +86,7 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
     generators = tuple(
-        Generator(i, e) for i, k in enumerate(arm_counts, 1) for e in basis(k, n)
+        Generator(i, *e) for i, k in enumerate(arm_counts, 1) for e in basis(k, n)
     )
     index = {g: j for j, g in enumerate(generators)}
 
@@ -95,10 +97,10 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
         for e in basis(arm_counts[star - 1], level):
             e = add_strand(e, arm, times)
             try:
-                out.append(index[star, e])
+                out.append(index[(star, *e)])
             except KeyError:
                 raise NaturalityError(
-                    f"shifted generator {Generator(star, e)} is not a generator at level {n}"
+                    f"shifted generator {Generator(star, *e)} is not a generator at level {n}"
                 ) from None
         return out
 
@@ -124,8 +126,8 @@ def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
     if g.star == h.star:
         raise SameStarError(f"generators are both on star {g.star}")
     lo, hi = (g, h) if g.star < h.star else (h, g)
-    cap = capacity(lo.edge, 2)
-    return cap >= 1 and cap + hi.edge.a[0] >= n
+    cap = capacity((lo.a, lo.p), 2)
+    return cap >= 1 and cap + hi.a[0] >= n
 
 
 def predicate_relations(pres: Presentation, n: int) -> tuple[tuple[int, int], ...]:
@@ -151,7 +153,7 @@ def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
     if n != source.n + 1:
         raise ValueError(f"stabilization needs consecutive levels, got {source.n} and {n}")
     index = {g: j for j, g in enumerate(target.generators)}
-    images = [Generator(g.star, add_strand(g.edge, 1)) for g in source.generators]
+    images = [Generator(g.star, *add_strand((g.a, g.p), 1)) for g in source.generators]
     stray = sorted(g for g in images if g not in index)
     mapping = tuple(index[g] for g in images if g in index)
     if stray or len(set(mapping)) != len(mapping):
@@ -181,8 +183,8 @@ def to_json(pres: Presentation) -> str:
     from a fixed template: every field is an int or a list of ints."""
     generators = [
         f'{{\n      "star": {g.star},\n'
-        f'      "a": {_array(list(map(str, g.edge.a)), "      ")},\n'
-        f'      "p": {g.edge.p}\n    }}'
+        f'      "a": {_array(list(map(str, g.a)), "      ")},\n'
+        f'      "p": {g.p}\n    }}'
         for g in pres.generators
     ]
     relations = [f"[\n      {i},\n      {j}\n    ]" for i, j in pres.relations]
@@ -194,7 +196,7 @@ def to_dot(pres: Presentation) -> str:
     """Defining graph in DOT: one vertex per generator, one edge per relation."""
     lines = [f"graph strands_{pres.n} {{"]
     for i, g in enumerate(pres.generators):
-        label = f"s{g.star} a=({','.join(map(str, g.edge.a))}) p={g.edge.p}"
+        label = f"s{g.star} a=({','.join(map(str, g.a))}) p={g.p}"
         lines.append(f'  g{i} [label="{label}"];')
     for i, j in pres.relations:
         lines.append(f"  g{i} -- g{j};")

@@ -14,7 +14,7 @@ The sums differ, so within one level a vector is never both kinds.
 
 Every edge of the complex joins a Type II vertex ``a`` to the Type I
 vertex obtained by sliding one strand from arm p onto the hub, so an edge
-is the pair (a, p) with a[p-1] >= 1.
+is the plain pair (a, p) with a[p-1] >= 1.
 Arm vectors are enumerated in lex order by prefix extension: each vector
 of the (total, k) level is a prefix, a run of zeros and then a nonzero
 count f, followed by a vector of the level with total - f and the arms
@@ -34,11 +34,10 @@ which is what makes the glued presentations of whole trees stable in n.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import comb
 from operator import methodcaller
-from typing import NamedTuple
 
 
 class BaseVertexError(ValueError):
@@ -51,23 +50,6 @@ class NotBasisEdgeError(ValueError):
 
 class RankMismatchError(RuntimeError):
     """Internal inconsistency between the three rank computations."""
-
-
-class StarEdge(NamedTuple):
-    """Edge of the star complex: Type II vertex ``a`` plus the sliding arm p.
-
-    Its Type I endpoint is ``a`` with one strand moved from arm p onto the
-    hub.  p is 1-based and requires a[p-1] >= 1; ordered and hashed as (a, p).
-    """
-
-    a: tuple[int, ...]
-    p: int
-
-    def type1(self) -> tuple[int, ...]:
-        """The Type I end b; the Type II end is ``a`` itself."""
-        b = list(self.a)
-        b[self.p - 1] -= 1
-        return tuple(b)
 
 
 @lru_cache(maxsize=None)
@@ -110,14 +92,10 @@ def type2_vertices(k: int, n: int) -> list[tuple[int, ...]]:
     return [a for a in arm_vectors(n, k) if a.count(0) <= most_empty]
 
 
-# StarEdge(a, p) without NamedTuple's Python-level __new__
-_edge = partial(tuple.__new__, StarEdge)
-
-
-def star_edges(k: int, n: int) -> list[StarEdge]:
+def star_edges(k: int, n: int) -> list[tuple[tuple[int, ...], int]]:
     """Every edge of the complex, ordered by (a, p)."""
     arms = range(1, k + 1)      # compress keeps the occupied ones, a[p-1] >= 1
-    return [_edge((a, p)) for a in type2_vertices(k, n) for p in compress(arms, a)]
+    return [(a, p) for a in type2_vertices(k, n) for p in compress(arms, a)]
 
 
 def last_occupied_arm(a: tuple[int, ...]) -> int:
@@ -128,31 +106,32 @@ def last_occupied_arm(a: tuple[int, ...]) -> int:
     raise ValueError("empty configuration has no occupied arm")
 
 
-def type1_successor(b: tuple[int, ...]) -> StarEdge:
+def type1_successor(b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The canonical edge leading Type I vertex b one step closer to the
     base vertex: a strand slides from arm 1 off the hub, so the edge's
     Type II end adds one to arm 1."""
     if not any(b[1:]):
         raise BaseVertexError("base vertex has no successor")
-    return StarEdge((b[0] + 1,) + b[1:], 1)
+    return (b[0] + 1,) + b[1:], 1
 
 
-def type2_successor(a: tuple[int, ...]) -> StarEdge:
+def type2_successor(a: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The canonical edge leading Type II vertex a one step closer to the
     base vertex: the innermost strand of its last occupied arm slides onto
     the hub."""
-    return StarEdge(a, last_occupied_arm(a))
+    return a, last_occupied_arm(a)
 
 
-def is_tree_edge(edge: StarEdge) -> bool:
+def is_tree_edge(edge: tuple[tuple[int, ...], int]) -> bool:
     """Whether edge is a successor edge: p is 1 or the last occupied arm.
-    With a[p-1] >= 1, which every StarEdge has, p is the last occupied arm
-    exactly when no strand sits on a later arm."""
-    return edge.p == 1 or not any(edge.a[edge.p:])
+    With a[p-1] >= 1, which every edge of the complex has, p is the last
+    occupied arm exactly when no strand sits on a later arm."""
+    a, p = edge
+    return p == 1 or not any(a[p:])
 
 
 @lru_cache(maxsize=None)
-def basis(k: int, n: int) -> tuple[StarEdge, ...]:
+def basis(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Edges outside the spanning tree, in (a, p) order: a free basis of the
     n-strand group of a k-arm star.
 
@@ -176,7 +155,7 @@ def basis(k: int, n: int) -> tuple[StarEdge, ...]:
         if a.count(0) > most_empty:     # not a Type II vertex
             continue
         last = next(compress(arms_down, reversed(a)))
-        edges.extend(map(_edge, zip(repeat(a), compress(inner, a[1:last - 1]))))
+        edges.extend(zip(repeat(a), compress(inner, a[1:last - 1])))
     return tuple(edges)
 
 
@@ -243,7 +222,9 @@ def rank_once(k: int, n: int) -> int:
     return size
 
 
-def add_strand(edge: StarEdge, arm: int, times: int = 1) -> StarEdge:
+def add_strand(
+    edge: tuple[tuple[int, ...], int], arm: int, times: int = 1
+) -> tuple[tuple[int, ...], int]:
     """Image of an edge after parking ``times`` extra strands at arm 1 or
     arm 2, in one step: the one-strand map applied ``times`` times.
 
@@ -254,19 +235,20 @@ def add_strand(edge: StarEdge, arm: int, times: int = 1) -> StarEdge:
         raise ValueError(f"strands can only be added at arm 1 or 2, got arm {arm}")
     if times < 0:
         raise ValueError(f"cannot add a negative number of strands, got {times}")
-    a = list(edge.a)
+    a = list(edge[0])
     a[arm - 1] += times
-    return _edge((tuple(a), edge.p))
+    return tuple(a), edge[1]
 
 
-def capacity(edge: StarEdge, arm: int) -> int:
+def capacity(edge: tuple[tuple[int, ...], int], arm: int) -> int:
     """How many times ``edge`` can be peeled back along ``arm`` while staying
     a basis edge: a[arm-1], minus one when the edge slides on that same arm.
     """
     if arm not in (1, 2):
         raise ValueError(f"capacity is defined for arms 1 and 2, got arm {arm}")
+    a, p = edge
     if is_tree_edge(edge):
-        raise NotBasisEdgeError(f"not a basis edge: a={edge.a} p={edge.p}")
-    count = edge.a[arm - 1]
-    return count - 1 if arm == edge.p else count
+        raise NotBasisEdgeError(f"not a basis edge: a={a} p={p}")
+    count = a[arm - 1]
+    return count - 1 if arm == p else count
 

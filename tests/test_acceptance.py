@@ -11,7 +11,7 @@ from itertools import product
 from treebraid import cubes, presentation, stars, trees
 
 from cube_reference import pi1_presentation
-from star_reference import spanning_tree
+from star_reference import spanning_tree, type1
 
 # ---------------------------------------------------------------------------
 # shared material
@@ -95,13 +95,13 @@ def test_criterion_2_spanning_tree_properties():
             return x
 
         for e in tree_edges:
-            a, b = find(("II", e.a)), find(("I", e.type1()))
+            a, b = find(("II", e[0])), find(("I", type1(e)))
             assert a != b, f"cycle at k={k}, n={n}"
             parent[a] = b
         assert len(tree_edges) == max(len(vertices) - 1, 0), f"not spanning at k={k}, n={n}"
         # edges supported on arms 1 and 2 alone always belong to the tree
         for e in stars.star_edges(k, n):
-            if all(x == 0 for x in e.a[2:]):
+            if not any(e[0][2:]):
                 assert e in tree_edges
     report(
         "criterion 2: successor trees are acyclic, span every vertex, and"

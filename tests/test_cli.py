@@ -272,6 +272,29 @@ class TestVerify:
         assert code == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("out,refused", [
+        ("tri.json", "tri.json"), ("tri.json/sub", "tri.json"), ("dangling", "dangling"),
+    ], ids=["file", "under-a-file", "dangling-link"])
+    def test_out_on_an_existing_file_exits_1_before_the_oracle(
+        self, tree_file, tmp_path, capsys, monkeypatch, out, refused
+    ):
+        # --out naming a file, a path under one, or a link to nowhere is
+        # refused before the header is printed or any level is checked
+        def no_oracle(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cubes, "oracle_report", no_oracle)
+        tree = tree_file(TRIPOD, "tri.json")
+        before = Path(tree).read_bytes()
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        code = cli.main(["verify", "--tree", tree, "--n", "3", "--out", str(tmp_path / out)])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: --out {tmp_path / out}: {tmp_path / refused} is not a directory\n"
+        )
+        assert Path(tree).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "tri.json"]
+
     @pytest.mark.parametrize("cap", ["-1", "0"])
     def test_cell_cap_below_one_is_a_usage_error(self, tree_file, capsys, cap):
         code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "4", "--cell-cap", cap])
@@ -534,7 +557,7 @@ class TestInternalErrors:
     def test_same_star_exits_3_not_1(self, tree_file, capsys, monkeypatch):
         # SameStarError is a ValueError; it must not read as an input error
         def same_star_pair(decomp, n):
-            g = presentation.Generator(1, stars.StarEdge((0, 1, 1), 2))
+            g = presentation.Generator(1, (0, 1, 1), 2)
             presentation.commutation_predicate(g, g, n)
 
         monkeypatch.setattr(presentation, "assemble", same_star_pair)

@@ -547,9 +547,8 @@ class TestCliqueCounts:
     def test_triangle_count_on_forged_graph(self):
         # three pairwise-commuting generators -> one triangle
         from treebraid.presentation import Generator, Presentation
-        from treebraid.stars import StarEdge
 
-        gens = tuple(Generator(i, StarEdge((0, 1, 1), 2)) for i in (1, 2, 3))
+        gens = tuple(Generator(i, (0, 1, 1), 2) for i in (1, 2, 3))
         p = Presentation(n=2, generators=gens, relations=((0, 1), (0, 2), (1, 2)))
         assert raag_clique_counts(p) == (3, 3, 1)
 

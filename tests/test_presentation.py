@@ -17,7 +17,6 @@ from treebraid.presentation import (
     to_dot,
     to_json,
 )
-from treebraid.stars import StarEdge
 from test_random_trees import random_caterpillar
 
 
@@ -45,7 +44,7 @@ class TestAssemble:
         d = trees.decompose(htree)
         p = assemble(d, 4)
         assert generator_pairs(p) == [
-            (Generator(1, StarEdge((0, 3, 1), 2)), Generator(2, StarEdge((2, 1, 1), 2)))
+            (Generator(1, (0, 3, 1), 2), Generator(2, (2, 1, 1), 2))
         ]
 
     def test_caterpillar_n4(self, caterpillar3):
@@ -102,11 +101,11 @@ class TestAssemble:
 
 class TestPredicate:
     def test_known_pairs_htree_n4(self):
-        g = Generator(1, StarEdge((0, 3, 1), 2))
-        h = Generator(2, StarEdge((2, 1, 1), 2))
+        g = Generator(1, (0, 3, 1), 2)
+        h = Generator(2, (2, 1, 1), 2)
         assert commutation_predicate(g, h, 4)
         assert commutation_predicate(h, g, 4)   # symmetric in its arguments
-        g2 = Generator(1, StarEdge((1, 2, 1), 2))
+        g2 = Generator(1, (1, 2, 1), 2)
         assert not commutation_predicate(g2, h, 4)
 
     def test_htree_n3_all_false(self, htree):
@@ -121,8 +120,8 @@ class TestPredicate:
         )
 
     def test_same_star_rejected(self):
-        g = Generator(1, StarEdge((0, 1, 1), 2))
-        h = Generator(1, StarEdge((0, 2, 1), 2))
+        g = Generator(1, (0, 1, 1), 2)
+        h = Generator(1, (0, 2, 1), 2)
         with pytest.raises(SameStarError):
             commutation_predicate(g, h, 3)
 
@@ -158,8 +157,8 @@ class TestStabilize:
         assert len(step.mapping) == 2
         for i, j in enumerate(step.mapping):
             src, dst = step.source.generators[i], step.target.generators[j]
-            assert dst.edge.a[0] == src.edge.a[0] + 1
-            assert dst.edge.a[1:] == src.edge.a[1:]
+            assert dst.a[0] == src.a[0] + 1
+            assert dst.a[1:] == src.a[1:]
 
     def test_tripod_level3_to_4(self, tripod):
         d = trees.decompose(tripod)
@@ -237,13 +236,13 @@ class TestExport:
         arm_counts += [trees.decompose(random_caterpillar(rng)) for _ in range(25)]
         presentations = [assemble(d, n) for d in arm_counts for n in range(7)]
         presentations.append(Presentation(3, (
-            Generator(1, StarEdge((0, 2, 1), 2)),
-            Generator(2, StarEdge((1, 1, 1), 2)),
+            Generator(1, (0, 2, 1), 2),
+            Generator(2, (1, 1, 1), 2),
         ), ()))
         for p in presentations:
             fields = {
                 "n": p.n,
-                "generators": [{"star": g.star, "a": list(g.edge.a), "p": g.edge.p}
+                "generators": [{"star": g.star, "a": list(g.a), "p": g.p}
                                for g in p.generators],
                 "relations": [[i, j] for i, j in p.relations],
             }
@@ -252,6 +251,15 @@ class TestExport:
             assert json.loads(text) == fields
         assert any(not p.generators for p in presentations)
         assert any(p.generators and not p.relations for p in presentations)
+
+    def test_generator_objects_are_the_record_fields(self):
+        # a Generator is its JSON object: the same keys, in the same order
+        p = assemble((4, 4, 3, 5, 3), 6)
+        written = json.loads(to_json(p))["generators"]
+        assert len(written) == len(p.generators) > 0
+        for g, obj in zip(p.generators, written):
+            assert tuple(obj) == Generator._fields
+            assert tuple(obj.values()) == (g.star, list(g.a), g.p)
 
     def test_dot_htree_n4(self, htree):
         d = trees.decompose(htree)

@@ -2,26 +2,28 @@
 exact reprs, read-only fields, ordering and hashing by the field tuple.
 Error messages that print records are pinned byte for byte."""
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
+import treebraid
 from treebraid import cubes, trees
 from treebraid import presentation as pres
 from treebraid.presentation import Generator, NaturalityError, Presentation
-from treebraid.stars import StarEdge
 
 from cube_reference import pi1_presentation
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_reprs(htree):
-    e = StarEdge((0, 1, 1), 2)
-    assert repr(Generator(1, e)) == "Generator(star=1, edge=StarEdge(a=(0, 1, 1), p=2))"
+    assert repr(Generator(1, (0, 1, 1), 2)) == "Generator(star=1, a=(0, 1, 1), p=2)"
     assert repr(pres.assemble(trees.decompose(htree), 2)) == (
-        "Presentation(n=2, generators=(Generator(star=1, edge=StarEdge(a=(0, 1, 1), p=2)), "
-        "Generator(star=2, edge=StarEdge(a=(0, 1, 1), p=2))), relations=())"
+        "Presentation(n=2, generators=(Generator(star=1, a=(0, 1, 1), p=2), "
+        "Generator(star=2, a=(0, 1, 1), p=2)), relations=())"
     )
     assert repr(cubes.oracle_report(htree, 2)) == (
         "HomologyReport(cell_counts=(15, 20, 4, 0), boundary_ranks=(14, 4, 0), "
@@ -36,11 +38,11 @@ def test_reprs(htree):
 
 def test_generators_sort_by_star_then_arms_then_arm(caterpillar5):
     gens = pres.assemble(trees.decompose(caterpillar5), 4).generators
-    key = lambda g: (g.star, g.edge.a, g.edge.p)
+    key = lambda g: (g.star, g.a, g.p)
     assert list(gens) == sorted(gens, key=key)
     assert sorted(reversed(gens)) == sorted(gens, key=key)
-    assert Generator(1, StarEdge((0, 2, 1), 3)) < Generator(1, StarEdge((1, 1, 1), 2))
-    assert Generator(1, StarEdge((0, 1, 1, 1), 3)) < Generator(2, StarEdge((0, 1, 1), 2))
+    assert Generator(1, (0, 2, 1), 3) < Generator(1, (1, 1, 1), 2)
+    assert Generator(1, (0, 1, 1, 1), 3) < Generator(2, (0, 1, 1), 2)
 
 
 def records(htree):
@@ -49,8 +51,7 @@ def records(htree):
     source, target = pres.assemble(d, 2), pres.assemble(d, 3)
     cx = cubes.build_complex(trees.subdivide_edges(htree, 2), 2)
     return [
-        (StarEdge((0, 1, 1), 2), ("a", "p")),
-        (Generator(1, StarEdge((0, 1, 1), 2)), ("star", "edge")),
+        (Generator(1, (0, 1, 1), 2), ("star", "a", "p")),
         (target, ("n", "generators", "relations")),
         (pres.stabilize(source, target), ("source", "target", "mapping")),
         (htree, ("vertices", "edges", "endpoint")),
@@ -74,6 +75,24 @@ def test_records_hash_as_their_field_tuples(htree):
     for record, fields in records(htree):
         values = tuple(getattr(record, field) for field in fields)
         assert hash(record) == hash(values), type(record).__name__
+
+
+def test_readme_names_every_named_tuple():
+    # the parenthesis of README's "Record types are ..." sentence, against
+    # the NamedTuple classes the package defines
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"Record types are `typing\.NamedTuple`s \(([^)]*)\)", readme)
+    assert listed, "README has no 'Record types are' sentence"
+    named = set(re.findall(r"`(\w+)`", listed.group(1)))
+    defined = set()
+    for info in pkgutil.iter_modules(treebraid.__path__):
+        module = importlib.import_module(f"treebraid.{info.name}")
+        defined |= {
+            name for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+            and obj.__module__ == module.__name__
+        }
+    assert named == defined
 
 
 def perfbench_run(monkeypatch):
@@ -118,7 +137,7 @@ class TestErrorMessages:
         with pytest.raises(NaturalityError) as info:
             pres.assemble(trees.decompose(htree), 4)
         assert str(info.value) == (
-            "shifted generator Generator(star=1, edge=StarEdge(a=(0, 1, 2), p=2)) "
+            "shifted generator Generator(star=1, a=(0, 1, 2), p=2) "
             "is not a generator at level 4"
         )
 
@@ -130,9 +149,9 @@ class TestErrorMessages:
             pres.stabilize(source, target)
         assert str(info.value) == (
             "generator images escape level 4: ["
-            "Generator(star=1, edge=StarEdge(a=(0, 1, 2), p=2)), "
-            "Generator(star=1, edge=StarEdge(a=(0, 2, 1), p=2)), "
-            "Generator(star=1, edge=StarEdge(a=(1, 1, 1), p=2))]"
+            "Generator(star=1, a=(0, 1, 2), p=2), "
+            "Generator(star=1, a=(0, 2, 1), p=2), "
+            "Generator(star=1, a=(1, 1, 1), p=2)]"
         )
 
     def test_missing_relation_image(self, htree):
@@ -142,6 +161,6 @@ class TestErrorMessages:
         with pytest.raises(NaturalityError) as info:
             pres.stabilize(source, dropped)
         assert str(info.value) == (
-            "relation image [Generator(star=1, edge=StarEdge(a=(1, 3, 1), p=2)), "
-            "Generator(star=2, edge=StarEdge(a=(3, 1, 1), p=2))] missing at level 5"
+            "relation image [Generator(star=1, a=(1, 3, 1), p=2), "
+            "Generator(star=2, a=(3, 1, 1), p=2)] missing at level 5"
         )
