@@ -164,7 +164,7 @@ def cmd_table(args) -> int:
     # table; each level is read once, so its basis is not kept
     rows = [f"k={k:<2} " + " ".join(f"{stars.rank_once(k, n):>6}" for n in ns) for k in ks]
     print("free rank of the n-strand group of a k-arm star")
-    print("k\\n " + " ".join(f"{n:>6}" for n in ns))
+    print("k\\n  " + " ".join(f"{n:>6}" for n in ns))     # as wide as a row label
     print("\n".join(rows))
     print(
         "note: each entry is the enumerated basis size, checked against the"

@@ -19,9 +19,12 @@ Arm vectors are enumerated in lex order by prefix extension: each vector
 of the (total, k) level is a prefix, a run of zeros and then a nonzero
 count f, followed by a vector of the level with total - f and the arms
 that remain.  Each level is built once per process and cached as a tuple
-of tuples; ``arm_vectors``, both vertex lists, ``star_edges``, ``basis``
-and ``rank_from_euler`` all read that one table, and ``basis`` reads its
-edges straight off the level without listing the tree edges.  Edges come
+of tuples, together with each vector's occupancy mask (bit j set when arm
+j + 1 holds a strand); ``arm_vectors``, both vertex lists, ``star_edges``,
+``basis`` and ``rank_from_euler`` all read that one level.  ``basis``
+reads its edges straight off the level without listing the tree edges:
+the basis arms depend only on the mask, so they are worked out once per
+distinct mask and paired with the vectors by C-level iteration.  Edges come
 in (a, p) order; the vertex lists, the edges and the basis all come out in
 that order, unsorted.  Type II vertices are the vectors with at most
 k - 2 empty arms.
@@ -53,30 +56,50 @@ class RankMismatchError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _vectors(total: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _level(total: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The level of length-k vectors of nonnegative ints summing to total,
-    in lex order, by prefix extension.  A prefix is a run of zeros and then
-    the first nonzero count f; more zeros come first, then smaller f, and
-    each prefix extends every vector of the (total - f, k - 1 - zeros)
-    level, one C-level tuple concatenation per vector.  Only levels of a
-    smaller total are read, so a wide star (k much larger than total)
-    keeps no level of its own total with fewer arms, and the recursion is
-    at most total deep."""
+    in lex order, by prefix extension, with each vector's occupancy mask:
+    bit j of ``masks[i]`` is set exactly when ``vectors[i][j] >= 1``.
+
+    A prefix is a run of zeros and then the first nonzero count f; more
+    zeros come first, then smaller f, and each prefix extends every vector
+    of the (total - f, k - 1 - zeros) level, one C-level tuple
+    concatenation per vector.  The prefix's mask is the single bit
+    ``zeros``, so the extended masks are the sub-level's masks shifted up
+    past the prefix with that bit set, again one C-level call each.  Only
+    levels of a smaller total are read, so a wide star (k much larger than
+    total) keeps no level of its own total with fewer arms, and the
+    recursion is at most total deep."""
     if total < 0:
-        return ()
+        return (), ()
     if k < 1:
         raise ValueError(f"an arm vector needs k >= 1 arms, got k={k}")
-    last_arm_only = (0,) * (k - 1) + (total,)      # the prefix is the whole vector
-    extended = (
-        map(((0,) * zeros + (first,)).__add__, _vectors(total - first, k - 1 - zeros))
+    blocks = [
+        (zeros, first, *_level(total - first, k - 1 - zeros))
         for zeros in range(k - 2, -1, -1) for first in range(1, total + 1)
+    ]
+    # the first vector has its whole total on the last arm, so its mask is
+    # that arm's bit, or no bit when the total is 0
+    vectors = chain(
+        [(0,) * (k - 1) + (total,)],
+        *(map(((0,) * zeros + (first,)).__add__, sub) for zeros, first, sub, _ in blocks),
     )
-    return (last_arm_only, *chain.from_iterable(extended))
+    masks = chain(
+        [1 << (k - 1) if total else 0],
+        *(map((1 << zeros).__or__, map((zeros + 1).__rlshift__, sub))
+          for zeros, _, _, sub in blocks),
+    )
+    return tuple(vectors), tuple(masks)
+
+
+def _vectors(total: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors of the cached (total, k) level (see ``_level``)."""
+    return _level(total, k)[0]
 
 
 def arm_vectors(total: int, k: int):
     """All length-k tuples of nonnegative ints summing to total, in lex
-    order, read from the cached level (see ``_vectors``).  Nothing when
+    order, read from the cached level (see ``_level``).  Nothing when
     total < 0; ValueError when k < 1."""
     return iter(_vectors(total, k))
 
@@ -131,6 +154,15 @@ def is_tree_edge(edge: tuple[tuple[int, ...], int]) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _basis_arms(mask: int) -> tuple[int, ...]:
+    """The 1-based occupied arms of occupancy ``mask`` strictly between
+    arm 1 and the last occupied arm.  Cached: a level of a k-arm star has
+    at most 2**k distinct masks, so this runs once per pattern, not once
+    per vector."""
+    return tuple(p for p in range(2, mask.bit_length()) if mask >> (p - 1) & 1)
+
+
+@lru_cache(maxsize=None)
 def basis(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Edges outside the spanning tree, in (a, p) order: a free basis of the
     n-strand group of a k-arm star.
@@ -138,25 +170,19 @@ def basis(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     The tree holds each vertex's successor edge, the edges with p = 1 or p
     the last occupied arm, so the basis is, in closed form, the edges (a, p)
     with a[p-1] >= 1 and 1 < p < last occupied arm.  It is read straight off
-    the (n, k) arm-vector level: for each Type II vertex a, the occupied arms
-    among 2 .. last - 1, found by ``compress`` with no Python-level call
-    per edge.
+    the (n, k) level: each vector a pairs with ``_basis_arms`` of its
+    occupancy mask, in a pipeline of ``map``, ``zip`` and ``chain`` with no
+    Python-level step per vector or per edge.  A vector with fewer than two
+    occupied arms, which is no Type II vertex, has no arm between arm 1 and
+    its last occupied arm, so it adds nothing and needs no filter.
 
     Cached: assembling presentations sweeps the same (k, n) levels over and
     over, and every level embeds in the next.
     """
     if k < 2 or n < 0:
         raise ValueError(f"a star needs k >= 2 arms and n >= 0 strands, got k={k}, n={n}")
-    most_empty = k - 2
-    arms_down = range(k, 0, -1)     # compress over reversed(a): last occupied first
-    inner = range(2, k + 1)         # compress over a[1:last - 1]: 2 .. last - 1
-    edges = []
-    for a in _vectors(n, k):
-        if a.count(0) > most_empty:     # not a Type II vertex
-            continue
-        last = next(compress(arms_down, reversed(a)))
-        edges.extend(zip(repeat(a), compress(inner, a[1:last - 1])))
-    return tuple(edges)
+    vectors, masks = _level(n, k)
+    return tuple(chain.from_iterable(map(zip, map(repeat, vectors), map(_basis_arms, masks))))
 
 
 # bound once, so that rank_once still empties this cache after the name
@@ -184,6 +210,11 @@ def rank_from_euler(k: int, n: int) -> int:
     arms is a Type II vertex with one edge per occupied arm.  No spanning
     tree is involved, so this agrees with the basis size only if the rule
     in ``basis`` leaves out exactly one edge per non-base vertex.
+
+    The occupied arms are counted from the zeros of the vectors, not from
+    the level's occupancy masks, which only ``basis`` reads: a mask that
+    disagrees with its vector then changes the basis size but not this
+    count, and ``rank`` reports the mismatch.
     """
     if n == 0:
         return 0
@@ -216,7 +247,8 @@ def rank_once(k: int, n: int) -> int:
     """``rank(k, n)`` for a caller that reads each level once and only its
     size, such as ``treebraid table``: the basis cache is emptied after
     the level is read, so it never holds more than the current level.
-    The arm-vector levels stay cached."""
+    The arm-vector levels, with their occupancy masks, and the basis arms
+    of each mask stay cached."""
     size = rank(k, n)
     _clear_bases()
     return size

@@ -425,7 +425,7 @@ class TestPinnedOutput:
     }
     STABILIZE = "742bed62e77c82bf4e3ddb6d03493b1ac8f15ef4fe4f9b2b04d1c25cebc371f2"
     PRESENT_VERIFY = "6a242e225d00ee961e111339dadec60f496e726d7857cd2051ee17dcad1f93b3"
-    TABLE = "2b07bb1c7fc14defc0e8070921a2e0d226f0fbce0ee04994d862aa65925030d5"
+    TABLE = "ddf3aba494ce73e24b57e177bdaadd451699f68e274c938a73834e6eb0f0827c"
 
     def test_present_dot_files_caterpillar5(self, tree_file, caterpillar5, tmp_path):
         out = tmp_path / "out"
@@ -485,6 +485,24 @@ class TestTable:
             line for line in capsys.readouterr().out.splitlines() if line.startswith("k=2")
         )
         assert row.split()[1:] == ["0"] * 7
+
+    @pytest.mark.parametrize("argv", [
+        ["--k-min", "9", "--k-max", "10", "--n-max", "1"],
+        ["--k-min", "2", "--k-max", "8", "--n-min", "0", "--n-max", "9"],
+        ["--k-min", "3", "--k-max", "6", "--n-min", "8", "--n-max", "12"],
+    ])
+    def test_header_numbers_end_over_the_row_numbers(self, argv, capsys):
+        assert cli.main(["table", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index(next(line for line in lines if line.startswith("k\\n")))
+        rows = [line for line in lines if line.startswith("k=")]
+        assert rows == lines[header + 1:header + 1 + len(rows)]
+
+        def number_ends(line):
+            # every field after the row or column label
+            return [m.end() for m in re.finditer(r"\S+", line)][1:]
+
+        assert all(number_ends(row) == number_ends(lines[header]) for row in rows)
 
     @pytest.mark.parametrize("argv,message", [
         (["--k-min", "0"], "need 2 <= --k-min <= --k-max"),

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from itertools import combinations_with_replacement, filterfalse, product
 from math import comb
 from operator import sub
@@ -28,6 +30,8 @@ from treebraid.stars import (
 from star_reference import base_vertex, spanning_tree, type1
 
 ALL_KN = [(k, n) for k in range(2, 6) for n in range(7)]
+# the star table's grid, and wide stars with far more arms than strands
+GRID_AND_WIDE = [(k, n) for k in range(2, 9) for n in range(10)] + [(40, 3), (120, 2), (1200, 1)]
 
 
 def brute_vectors(total, k):
@@ -64,10 +68,19 @@ class TestEnumeration:
     def test_a_wide_star_keeps_only_smaller_totals(self, request):
         # 1,200 arms and one strand: beside its own level, only the zero
         # vectors of 1..1,199 arms, and no recursion 1,200 calls deep
-        stars._vectors.cache_clear()
-        request.addfinalizer(stars._vectors.cache_clear)
+        stars._level.cache_clear()
+        request.addfinalizer(stars._level.cache_clear)
         assert len(list(arm_vectors(1, 1200))) == 1200
-        assert stars._vectors.cache_info().currsize == 1200
+        assert stars._level.cache_info().currsize == 1200
+
+    @pytest.mark.parametrize("k,n", GRID_AND_WIDE)
+    def test_masks_are_the_occupancy_of_their_vectors(self, k, n, request):
+        request.addfinalizer(stars._level.cache_clear)
+        for total in (n - 1, n):
+            vectors, masks = stars._level(total, k)
+            assert len(masks) == len(vectors)
+            for a, mask in zip(vectors, masks):
+                assert mask == sum(1 << j for j, count in enumerate(a) if count >= 1), a
 
     @pytest.mark.parametrize("vertices", [type1_vertices, type2_vertices])
     def test_vertex_lists_are_fresh(self, vertices):
@@ -270,17 +283,37 @@ class TestBasis:
         assert len(four) == 6
         assert all(p == 2 and a[1] >= 1 and a[2] >= 1 for a, p in four)
 
-    @pytest.mark.parametrize(
-        "k,n", [(k, n) for k in range(2, 9) for n in range(10)] + [(40, 3), (120, 2), (1200, 1)]
-    )
+    @pytest.mark.parametrize("k,n", GRID_AND_WIDE)
     def test_is_the_complement_of_the_tree_edges(self, k, n, request):
         # basis reads its edges off the arm-vector level in closed form; the
         # tree edges, filtered out edge by edge, must leave the same tuple
         request.addfinalizer(basis.cache_clear)
-        request.addfinalizer(stars._vectors.cache_clear)
+        request.addfinalizer(stars._level.cache_clear)
         got = basis(k, n)
         assert got == tuple(filterfalse(is_tree_edge, star_edges(k, n)))
         assert all(type(e) is tuple and len(e) == 2 for e in got)
+
+    def test_no_python_call_per_vector(self, request):
+        # with its level warm, basis(8, 9) runs Python code once per distinct
+        # occupancy mask (at most 2**8), not once per vector of the level
+        vectors, _ = stars._level(9, 8)
+        assert len(vectors) == 11440
+        basis.cache_clear()
+        stars._basis_arms.cache_clear()
+        request.addfinalizer(basis.cache_clear)
+        events = Counter()
+
+        def count(frame, event, arg):
+            events[event] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            got = basis(8, 9)
+        finally:
+            sys.setprofile(previous)
+        assert len(got) == rank_closed_form(8, 9)
+        assert events["call"] + events["c_call"] < len(vectors)
 
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_closed_form_membership(self, k, n):
@@ -327,7 +360,7 @@ class TestRank:
 
     def test_each_vector_level_is_built_once(self, request):
         basis.cache_clear()
-        stars._vectors.cache_clear()
+        stars._level.cache_clear()
         request.addfinalizer(basis.cache_clear)
         for k, n in ALL_KN:
             rank(k, n)
@@ -336,34 +369,59 @@ class TestRank:
         # them: of those, only the one-arm levels were not asked for
         levels = {(total, arms) for total in range(7) for arms in range(2, 6)}
         levels |= {(total, 1) for total in range(6)}
-        assert stars._vectors.cache_info().misses == len(levels)
+        assert stars._level.cache_info().misses == len(levels)
         for k, n in ALL_KN:
             rank_from_euler(k, n)
-        assert stars._vectors.cache_info().misses == len(levels)
+        assert stars._level.cache_info().misses == len(levels)
 
     def test_rank_once_keeps_no_basis(self):
         assert rank_once(3, 4) == rank(3, 4) == 6
         rank_once(4, 5)
         assert basis.cache_info().currsize == 0
 
-    def test_a_vector_missing_from_the_shared_level_is_caught(self, monkeypatch, request):
-        # basis and Euler count read the same level, so both lose the vector
-        # (0, 1, 3) and its basis edge (p=2); only the closed form still
-        # counts it
-        real = stars._vectors
+    def sabotage_level(self, monkeypatch, request, change):
+        """Rebind ``_level`` so that the (4, 3) level is change(vectors,
+        masks); every other level is the real one."""
+        real = stars._level
 
         def sabotaged(total, k):
             level = real(total, k)
-            return tuple(v for v in level if v != (0, 1, 3)) if (total, k) == (4, 3) else level
+            return change(*level) if (total, k) == (4, 3) else level
 
-        monkeypatch.setattr(stars, "_vectors", sabotaged)
+        monkeypatch.setattr(stars, "_level", sabotaged)
         basis.cache_clear()
         real.cache_clear()
         request.addfinalizer(basis.cache_clear)
         request.addfinalizer(real.cache_clear)
+
+    def test_a_vector_missing_from_the_shared_level_is_caught(self, monkeypatch, request):
+        # basis and Euler count read the same level, so both lose the vector
+        # (0, 1, 3), its mask and its basis edge (p=2); only the closed form
+        # still counts it
+        def drop(vectors, masks):
+            kept = [(v, m) for v, m in zip(vectors, masks) if v != (0, 1, 3)]
+            return tuple(v for v, _ in kept), tuple(m for _, m in kept)
+
+        self.sabotage_level(monkeypatch, request, drop)
         assert len(basis(3, 4)) == rank_from_euler(3, 4) == 5
         assert rank_closed_form(3, 4) == 6
         with pytest.raises(RankMismatchError, match="enumerated=5, euler=5, closed_form=6"):
+            rank(3, 4)
+
+    def test_a_wrong_mask_is_caught(self, monkeypatch, request):
+        # the mask of (0, 1, 3) says arm 2 is empty, so basis loses its edge
+        # (p=2); the Euler count reads the vectors, not the masks, and the
+        # closed form reads neither
+        def corrupt(vectors, masks):
+            wrong = 0b100
+            return vectors, tuple(
+                wrong if v == (0, 1, 3) else m for v, m in zip(vectors, masks)
+            )
+
+        self.sabotage_level(monkeypatch, request, corrupt)
+        assert len(basis(3, 4)) == 5
+        assert rank_from_euler(3, 4) == rank_closed_form(3, 4) == 6
+        with pytest.raises(RankMismatchError, match="enumerated=5, euler=6, closed_form=6"):
             rank(3, 4)
 
     @pytest.mark.parametrize("k,n", [(0, 3), (1, 3), (-1, 2), (3, -1), (2, -5)])
