@@ -161,11 +161,14 @@ def cmd_table(args) -> int:
     ks = list(range(args.k_min, args.k_max + 1))
     ns = list(range(args.n_min, args.n_max + 1))
     # every rank first, so a failure inside stars.rank prints no partial
-    # table; each level is read once, so its basis is not kept
-    rows = [f"k={k:<2} " + " ".join(f"{stars.rank_once(k, n):>6}" for n in ns) for k in ks]
+    # table; rank counts each basis off its level and builds no edge
+    ranks = [[stars.rank(k, n) for n in ns] for k in ks]
+    # each column as wide as its widest entry, header included, and at least 6
+    widths = [max(6, *map(len, map(str, column))) for column in zip(ns, *ranks)]
     print("free rank of the n-strand group of a k-arm star")
-    print("k\\n  " + " ".join(f"{n:>6}" for n in ns))     # as wide as a row label
-    print("\n".join(rows))
+    # the header label is as wide as a row label
+    for label, entries in [("k\\n  ", ns), *((f"k={k:<2} ", row) for k, row in zip(ks, ranks))]:
+        print(label + " ".join(f"{e:>{w}}" for e, w in zip(entries, widths)))
     print(
         "note: each entry is the enumerated basis size, checked against the"
         " Euler characteristic\nand against 1 + (k-1)*C(n+k-2,k-1) -"

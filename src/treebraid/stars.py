@@ -21,10 +21,11 @@ count f, followed by a vector of the level with total - f and the arms
 that remain.  Each level is built once per process and cached as a tuple
 of tuples, together with each vector's occupancy mask (bit j set when arm
 j + 1 holds a strand); ``arm_vectors``, both vertex lists, ``star_edges``,
-``basis`` and ``rank_from_euler`` all read that one level.  ``basis``
-reads its edges straight off the level without listing the tree edges:
-the basis arms depend only on the mask, so they are worked out once per
-distinct mask and paired with the vectors by C-level iteration.  Edges come
+``basis``, ``rank`` and ``rank_from_euler`` all read that one level.
+``basis`` reads its edges straight off the level without listing the tree
+edges: the basis arms depend only on the mask, so they are worked out once
+per distinct mask and paired with the vectors by C-level iteration.
+``rank`` counts those same arms per mask and builds no edge.  Edges come
 in (a, p) order; the vertex lists, the edges and the basis all come out in
 that order, unsorted.  Type II vertices are the vectors with at most
 k - 2 empty arms.
@@ -162,6 +163,12 @@ def _basis_arms(mask: int) -> tuple[int, ...]:
     return tuple(p for p in range(2, mask.bit_length()) if mask >> (p - 1) & 1)
 
 
+def _check_star(k: int, n: int) -> None:
+    """ValueError unless k >= 2 and n >= 0, the stars ``basis`` and ``rank`` take."""
+    if k < 2 or n < 0:
+        raise ValueError(f"a star needs k >= 2 arms and n >= 0 strands, got k={k}, n={n}")
+
+
 @lru_cache(maxsize=None)
 def basis(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Edges outside the spanning tree, in (a, p) order: a free basis of the
@@ -179,15 +186,9 @@ def basis(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     Cached: assembling presentations sweeps the same (k, n) levels over and
     over, and every level embeds in the next.
     """
-    if k < 2 or n < 0:
-        raise ValueError(f"a star needs k >= 2 arms and n >= 0 strands, got k={k}, n={n}")
+    _check_star(k, n)
     vectors, masks = _level(n, k)
     return tuple(chain.from_iterable(map(zip, map(repeat, vectors), map(_basis_arms, masks))))
-
-
-# bound once, so that rank_once still empties this cache after the name
-# ``basis`` is rebound (a tracer or a test wrapping it)
-_clear_bases = basis.cache_clear
 
 
 def rank_closed_form(k: int, n: int) -> int:
@@ -209,12 +210,12 @@ def rank_from_euler(k: int, n: int) -> int:
     level, and each vector of the (n, k) level with at most k - 2 empty
     arms is a Type II vertex with one edge per occupied arm.  No spanning
     tree is involved, so this agrees with the basis size only if the rule
-    in ``basis`` leaves out exactly one edge per non-base vertex.
+    in ``_basis_arms`` leaves out exactly one edge per non-base vertex.
 
     The occupied arms are counted from the zeros of the vectors, not from
-    the level's occupancy masks, which only ``basis`` reads: a mask that
-    disagrees with its vector then changes the basis size but not this
-    count, and ``rank`` reports the mismatch.
+    the level's occupancy masks, which only the basis and its count in
+    ``rank`` read: a mask that disagrees with its vector then changes the
+    basis size but not this count, and ``rank`` reports the mismatch.
     """
     if n == 0:
         return 0
@@ -230,9 +231,15 @@ def rank(k: int, n: int) -> int:
     Computed as the enumerated basis size and cross-checked against the
     Euler characteristic and the closed form; a disagreement means the
     implementation is broken and raises RankMismatchError.  Raises
-    ValueError, through ``basis``, unless k >= 2 and n >= 0.
+    ValueError unless k >= 2 and n >= 0.
+
+    The basis size is counted off the (n, k) level without building an
+    edge: ``basis`` pairs each vector with the ``_basis_arms`` of its mask,
+    so its length is the sum of those arm counts.  A wrong mask or a vector
+    missing from the level changes this count as it changes the basis.
     """
-    enumerated = len(basis(k, n))
+    _check_star(k, n)
+    enumerated = sum(map(len, map(_basis_arms, _level(n, k)[1])))
     euler = rank_from_euler(k, n)
     closed = rank_closed_form(k, n)
     if not (enumerated == euler == closed):
@@ -241,17 +248,6 @@ def rank(k: int, n: int) -> int:
             f"enumerated={enumerated}, euler={euler}, closed_form={closed}"
         )
     return enumerated
-
-
-def rank_once(k: int, n: int) -> int:
-    """``rank(k, n)`` for a caller that reads each level once and only its
-    size, such as ``treebraid table``: the basis cache is emptied after
-    the level is read, so it never holds more than the current level.
-    The arm-vector levels, with their occupancy masks, and the basis arms
-    of each mask stay cached."""
-    size = rank(k, n)
-    _clear_bases()
-    return size
 
 
 def add_strand(

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import shlex
+import tracemalloc
 from hashlib import sha256
 from pathlib import Path
 
@@ -451,14 +452,14 @@ class TestPinnedOutput:
         assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.TABLE
 
     def test_star_table_builds_no_edge_list(self, capsys, monkeypatch):
-        # each basis is read off its arm-vector level, not filtered out of
-        # the full edge list edge by edge
+        # each rank is counted off its arm-vector level: neither the full
+        # edge list nor the basis is built
         def refuse(*args):
             raise AssertionError("table built an edge list")
 
         monkeypatch.setattr(stars, "star_edges", refuse)
         monkeypatch.setattr(stars, "is_tree_edge", refuse)
-        stars.basis.cache_clear()
+        monkeypatch.setattr(stars, "basis", refuse)
         argv = ["table", "--k-min", "2", "--k-max", "8", "--n-min", "0", "--n-max", "9"]
         assert cli.main(argv) == 0
         assert sha256(capsys.readouterr().out.encode()).hexdigest() == self.TABLE
@@ -486,14 +487,9 @@ class TestTable:
         )
         assert row.split()[1:] == ["0"] * 7
 
-    @pytest.mark.parametrize("argv", [
-        ["--k-min", "9", "--k-max", "10", "--n-max", "1"],
-        ["--k-min", "2", "--k-max", "8", "--n-min", "0", "--n-max", "9"],
-        ["--k-min", "3", "--k-max", "6", "--n-min", "8", "--n-max", "12"],
-    ])
-    def test_header_numbers_end_over_the_row_numbers(self, argv, capsys):
-        assert cli.main(["table", *argv]) == 0
-        lines = capsys.readouterr().out.splitlines()
+    @staticmethod
+    def assert_numbers_end_under_the_header(out):
+        lines = out.splitlines()
         header = lines.index(next(line for line in lines if line.startswith("k\\n")))
         rows = [line for line in lines if line.startswith("k=")]
         assert rows == lines[header + 1:header + 1 + len(rows)]
@@ -503,6 +499,48 @@ class TestTable:
             return [m.end() for m in re.finditer(r"\S+", line)][1:]
 
         assert all(number_ends(row) == number_ends(lines[header]) for row in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["--k-min", "9", "--k-max", "10", "--n-max", "1"],
+        ["--k-min", "2", "--k-max", "8", "--n-min", "0", "--n-max", "9"],
+        ["--k-min", "3", "--k-max", "6", "--n-min", "8", "--n-max", "12"],
+    ])
+    def test_header_numbers_end_over_the_row_numbers(self, argv, capsys):
+        assert cli.main(["table", *argv]) == 0
+        self.assert_numbers_end_under_the_header(capsys.readouterr().out)
+
+    def test_ranks_of_seven_digits_keep_their_column(self, capsys, monkeypatch):
+        # ranks up to rank(12, 12) = 6,407,675 widen their columns past 6.
+        # The closed form stands in for rank: enumerating this grid holds the
+        # 1,352,078 vectors of the (12, 12) level, about 0.9 GB and 4 s on
+        # one x86-64 core, and this test is about the layout alone.
+        monkeypatch.setattr(stars, "rank", stars.rank_closed_form)
+        argv = ["table", "--k-min", "3", "--k-max", "12", "--n-min", "8", "--n-max", "12"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "\nk=12 274483 663443 1494845 3174445 6407675\n" in out
+        self.assert_numbers_end_under_the_header(out)
+
+    def test_table_keeps_no_basis_in_memory(self, capsys, request):
+        # the benchmark grid from cold caches, traced by tracemalloc.  What
+        # stays cached is the arm-vector levels with their masks, 4.3 MB
+        # (5.1 MB with the first command's one-time allocations, when this
+        # test runs alone).  Measured on CPython 3.11: while each level's
+        # basis pairs were built and dropped again, up to 33,606 of them,
+        # the peak was 2.1 MB above that, 6.5 MB (7.3 MB alone); counted
+        # off the masks, it is 0.1 MB above, 4.4 MB (5.2 MB alone).
+        for cache in (stars._level, stars._basis_arms, stars.basis):
+            cache.cache_clear()
+            request.addfinalizer(cache.cache_clear)
+        tracemalloc.start()
+        try:
+            assert cli.main(["table", "--k-max", "8", "--n-max", "9"]) == 0
+            cached, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "33606" in capsys.readouterr().out
+        assert peak < 6e6
+        assert peak - cached < 1e6
 
     @pytest.mark.parametrize("argv,message", [
         (["--k-min", "0"], "need 2 <= --k-min <= --k-max"),

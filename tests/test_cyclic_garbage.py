@@ -27,12 +27,11 @@ def paused_collector():
 
 
 def test_star_ranks(paused_collector):
-    # the table command's path: a cycle that rank left would still be
-    # garbage once rank_once drops the level, and each collection walks
-    # one cached level instead of all of them
+    # the table command's path: rank keeps no basis, so a cycle it left
+    # would be garbage at once
     for k in range(2, 9):
         for n in range(10):
-            stars.rank_once(k, n)
+            stars.rank(k, n)
             assert gc.collect() == 0, (k, n)
 
 

@@ -20,7 +20,6 @@ from treebraid.stars import (
     rank,
     rank_closed_form,
     rank_from_euler,
-    rank_once,
     star_edges,
     type1_successor,
     type1_vertices,
@@ -273,6 +272,10 @@ class TestSpanningTree:
             assert is_tree_edge(e) == (e in spanning_tree(4, 3))
 
 
+def assert_basis_size_is_the_rank(k, n):
+    assert len(stars.basis(k, n)) == rank(k, n), (k, n)
+
+
 class TestBasis:
     def test_examples(self):
         assert set(basis(3, 2)) == {((0, 1, 1), 2)}
@@ -315,6 +318,28 @@ class TestBasis:
         assert len(got) == rank_closed_form(8, 9)
         assert events["call"] + events["c_call"] < len(vectors)
 
+    @pytest.mark.parametrize("k,n", GRID_AND_WIDE)
+    def test_size_is_the_rank(self, k, n, request):
+        # rank counts the basis arms of each mask without building the basis;
+        # the pairs that assemble reads must still number exactly that many
+        request.addfinalizer(basis.cache_clear)
+        request.addfinalizer(stars._level.cache_clear)
+        assert_basis_size_is_the_rank(k, n)
+
+    def test_a_basis_missing_a_pair_fails_the_size_check(self, monkeypatch, request):
+        real = stars.basis
+        monkeypatch.setattr(stars, "basis", lambda k, n: real(k, n)[1:])
+        request.addfinalizer(basis.cache_clear)
+        request.addfinalizer(stars._level.cache_clear)
+        caught = []
+        for k, n in GRID_AND_WIDE:
+            try:
+                assert_basis_size_is_the_rank(k, n)
+            except AssertionError:
+                caught.append((k, n))
+        # every level with a basis edge to lose
+        assert caught == [(k, n) for k, n in GRID_AND_WIDE if rank_closed_form(k, n) > 0]
+
     @pytest.mark.parametrize("k,n", ALL_KN)
     def test_closed_form_membership(self, k, n):
         for a, p in star_edges(k, n):
@@ -339,21 +364,29 @@ class TestRank:
         assert len(star_edges(3, 3)) == 15
 
     def test_edges_are_enumerated_once_per_level(self, request):
+        # rank counts each basis off its level: no basis is built, and a
+        # level asked for again is read from the cache
         basis.cache_clear()
-        request.addfinalizer(basis.cache_clear)
+        stars._level.cache_clear()
+        request.addfinalizer(stars._level.cache_clear)
         misses = []
         for k, n in [(3, 4), (5, 3), (3, 4)]:
             rank(k, n)
-            misses.append(basis.cache_info().misses)
-        assert misses == [1, 2, 2]
-        assert basis.cache_info().hits == 1
+            misses.append(stars._level.cache_info().misses)
+        assert misses[1] > misses[0] and misses[2] == misses[1]
+        assert basis.cache_info().misses == 0
 
     def test_euler_witness_catches_a_wrong_spanning_tree(self, monkeypatch):
-        # a tree without the last-occupied-arm successors leaves too many
-        # basis edges; the Euler count never asks which edges are tree edges
-        monkeypatch.setattr(
-            stars, "basis", lambda k, n: tuple(e for e in star_edges(k, n) if e[1] != 1)
-        )
+        # a tree without the last-occupied-arm successors leaves one more
+        # basis edge per Type II vertex, 12 at k=3, n=4; the Euler count
+        # never asks which edges are tree edges
+        real = stars._basis_arms
+
+        def keep_last(mask):
+            two_or_more = mask & (mask - 1)
+            return real(mask) + (mask.bit_length(),) if two_or_more else ()
+
+        monkeypatch.setattr(stars, "_basis_arms", keep_last)
         assert rank_from_euler(3, 4) == rank_closed_form(3, 4) == 6
         with pytest.raises(RankMismatchError, match="enumerated=18, euler=6, closed_form=6"):
             rank(3, 4)
@@ -374,10 +407,13 @@ class TestRank:
             rank_from_euler(k, n)
         assert stars._level.cache_info().misses == len(levels)
 
-    def test_rank_once_keeps_no_basis(self):
-        assert rank_once(3, 4) == rank(3, 4) == 6
-        rank_once(4, 5)
-        assert basis.cache_info().currsize == 0
+    def test_rank_builds_no_basis(self, monkeypatch):
+        def refuse(k, n):
+            raise AssertionError("rank built a basis")
+
+        monkeypatch.setattr(stars, "basis", refuse)
+        assert rank(3, 4) == 6
+        assert [rank(k, n) for k, n in ALL_KN] == [rank_closed_form(k, n) for k, n in ALL_KN]
 
     def sabotage_level(self, monkeypatch, request, change):
         """Rebind ``_level`` so that the (4, 3) level is change(vectors,

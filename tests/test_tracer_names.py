@@ -71,13 +71,15 @@ def test_traced_verify_counts_the_oracle(tmp_path, htree):
 
 
 def test_traced_table_counts_the_star_edges(tmp_path):
-    # one basis call per (k, n) level for k=2..8 and n=0..9, each read
-    # straight off its arm-vector level: no full edge list is built, so
-    # the star_edges counters are never set
+    # each rank of k=2..8 and n=0..9 is counted off its arm-vector level:
+    # neither a basis nor a full edge list is built, so neither the basis
+    # counter nor the star_edges counters are ever set
     counts = traced_counts(tmp_path, "table", "--k-max", "8", "--n-max", "9")
-    assert counts["stars.basis_calls"] == 70
-    star_edges_counters = {"stars.star_edges_calls", "stars.star_edges", "stars.star_edges_levels"}
-    assert not star_edges_counters & counts.keys()
+    edge_counters = {
+        "stars.basis_calls",
+        "stars.star_edges_calls", "stars.star_edges", "stars.star_edges_levels",
+    }
+    assert not edge_counters & counts.keys()
 
 
 def test_traced_present_counts_the_exported_bytes(tmp_path, caterpillar5):
