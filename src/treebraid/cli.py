@@ -165,10 +165,12 @@ def cmd_table(args) -> int:
     ranks = [[stars.rank(k, n) for n in ns] for k in ks]
     # each column as wide as its widest entry, header included, and at least 6
     widths = [max(6, *map(len, map(str, column))) for column in zip(ns, *ranks)]
+    labels = ["k\\n", *(f"k={k}" for k in ks)]
+    # every label, header included, as wide as the widest and at least 4
+    label_width = max(4, *map(len, labels))
     print("free rank of the n-strand group of a k-arm star")
-    # the header label is as wide as a row label
-    for label, entries in [("k\\n  ", ns), *((f"k={k:<2} ", row) for k, row in zip(ks, ranks))]:
-        print(label + " ".join(f"{e:>{w}}" for e, w in zip(entries, widths)))
+    for label, entries in zip(labels, [ns, *ranks]):
+        print(f"{label:<{label_width}} " + " ".join(f"{e:>{w}}" for e, w in zip(entries, widths)))
     print(
         "note: each entry is the enumerated basis size, checked against the"
         " Euler characteristic\nand against 1 + (k-1)*C(n+k-2,k-1) -"
@@ -244,7 +246,8 @@ def main(argv=None) -> int:
 
     The cyclic collector is paused for the command and put back as it was
     on return: everything a command builds is acyclic (tests pin that), so
-    collections would only walk the cached star edges and free nothing.
+    collections would only walk the cached arm-vector levels and star bases
+    and free nothing.
     """
     was_enabled = gc.isenabled()
     gc.disable()

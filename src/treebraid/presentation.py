@@ -11,8 +11,10 @@ that arrives from its left endpoint.  The result is exactly the data of a
 defining graph: vertices = generators, edges = commuting pairs, and a
 ``Presentation`` stores it as that graph: the generators sorted by
 (star, a, p), and each commuting pair as an index pair i < j into them,
-the pairs sorted.  The JSON and DOT exports write these fields as they are,
-each through a fixed template.
+the pairs sorted.  The JSON and DOT exports write these fields as they are:
+each run of consecutive generators with the same arm count k through one
+template built for k, and each relation as two pieces of text written once
+per generator index.
 
 ``Generator``, ``Presentation`` and ``StabilizationMap`` are NamedTuples.
 A generator is the flat record (star, a, p), the fields of its JSON object
@@ -26,6 +28,8 @@ against each other.
 """
 from __future__ import annotations
 
+from itertools import accumulate, chain, count, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .stars import add_strand, basis, capacity
@@ -78,31 +82,32 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     endpoint (a uniform arm-1 shift on every constituent star).
 
     Generators are listed star by star, each star's basis in its (a, p)
-    order: that is their sorted (star, a, p) order with no sort.  Star
-    first makes each such pair an index pair g < h, and sorting each g's
-    partners once sorts the pairs.  A shifted edge that is not a level-n
-    generator raises NaturalityError.
+    order: that is their sorted (star, a, p) order with no sort.  Each star
+    keeps a dict from its bare basis edges (a, p) to their level-n indices,
+    and a shifted edge is looked up there as ``add_strand`` returns it.
+    Star first makes each such pair an index pair g < h, and sorting each
+    g's partners once sorts the pairs.  A shifted edge that is not a level-n
+    generator raises NaturalityError, naming the first in (a, p) order.
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
-    generators = tuple(
-        Generator(i, *e) for i, k in enumerate(arm_counts, 1) for e in basis(k, n)
-    )
-    index = {g: j for j, g in enumerate(generators)}
+    bases = [basis(k, n) for k in arm_counts]
+    generators = tuple([Generator(i, a, p) for i, edges in enumerate(bases, 1) for a, p in edges])
+    # index[star - 1]: that star's basis edge (a, p) -> its level-n index
+    starts = accumulate(map(len, bases), initial=0)
+    index = [dict(zip(edges, count(start))) for edges, start in zip(bases, starts)]
 
     def indices(star: int, level: int, arm: int, times: int) -> list[int]:
         """Level-n indices of star's level-``level`` basis edges after
         ``times`` strands are pushed in along arm."""
-        out = []
-        for e in basis(arm_counts[star - 1], level):
-            e = add_strand(e, arm, times)
-            try:
-                out.append(index[(star, *e)])
-            except KeyError:
-                raise NaturalityError(
-                    f"shifted generator {Generator(star, *e)} is not a generator at level {n}"
-                ) from None
-        return out
+        shifted = [add_strand(e, arm, times) for e in basis(arm_counts[star - 1], level)]
+        try:
+            return list(map(index[star - 1].__getitem__, shifted))
+        except KeyError as exc:
+            stray = Generator(star, *exc.args[0])
+            raise NaturalityError(
+                f"shifted generator {stray} is not a generator at level {n}"
+            ) from None
 
     # suffix[k]: level-n indices of X_{i+1}'s level-k generators, shifted
     # n - k strands in along arm 1; later[g]: the partners h > g of g
@@ -113,7 +118,7 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
             suffix[k] += indices(i + 1, k, 1, n - k)
             for g in indices(i, n - k, 2, k):
                 later[g].update(suffix[k])
-    relations = tuple((g, h) for g, hs in enumerate(later) for h in sorted(hs))
+    relations = tuple([(g, h) for g, hs in enumerate(later) for h in sorted(hs)])
     return Presentation(n=n, generators=generators, relations=relations)
 
 
@@ -147,58 +152,85 @@ def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
 
     Every generator's edge gains one strand on arm 1.  The map is checked:
     images must be distinct generators and image relations must be
-    relations; a violation is an implementation bug, not bad input.
+    relations; a violation is an implementation bug, not bad input.  The
+    images are looked up in one pass and the relation images checked with
+    one subset test; only a failed check walks them again, to name the
+    sorted stray images or the first missing relation image.
     """
     n = target.n
     if n != source.n + 1:
         raise ValueError(f"stabilization needs consecutive levels, got {source.n} and {n}")
-    index = {g: j for j, g in enumerate(target.generators)}
-    images = [Generator(g.star, *add_strand((g.a, g.p), 1)) for g in source.generators]
-    stray = sorted(g for g in images if g not in index)
-    mapping = tuple(index[g] for g in images if g in index)
-    if stray or len(set(mapping)) != len(mapping):
+    index = dict(zip(target.generators, count()))
+    # (star, a, p) tuples hash and compare as the Generators they name
+    images = [(star, *add_strand((a, p), 1)) for star, a, p in source.generators]
+    mapping = tuple(map(index.get, images))
+    if None in mapping or len(set(mapping)) != len(mapping):
+        stray = sorted(Generator(*g) for g in images if g not in index)
         raise NaturalityError(
             f"generator images escape level {n}: {stray[:3]}"
         )
+    # each relation image as an ordered pair, in source.relations order
+    pairs = [
+        (a, b) if (a := mapping[i]) < (b := mapping[j]) else (b, a)
+        for i, j in source.relations
+    ]
     relations = set(target.relations)
-    for i, j in source.relations:
-        a, b = sorted((mapping[i], mapping[j]))
-        if (a, b) not in relations:
-            pair = [target.generators[a], target.generators[b]]
-            raise NaturalityError(f"relation image {pair} missing at level {n}")
+    if not relations.issuperset(pairs):
+        a, b = next(pair for pair in pairs if pair not in relations)
+        pair = [target.generators[a], target.generators[b]]
+        raise NaturalityError(f"relation image {pair} missing at level {n}")
     return StabilizationMap(source=source, target=target, mapping=mapping)
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON list of already-written items, laid out as json.dumps(indent=2)
-    lays out a list that opens ``indent`` deep."""
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+def _runs(generators: tuple[Generator, ...]):
+    """Each maximal run of consecutive generators with the same arm count
+    k, as (k, index of its first generator, the run)."""
+    start = 0
+    for k, run in groupby(map(len, map(itemgetter(1), generators))):
+        stop = start + len(list(run))
+        yield k, start, generators[start:stop]
+        start = stop
+
+
+def _fields(run: tuple[Generator, ...], *lead) -> tuple:
+    """The run's generators as rows (*lead, star, *a, p), in one flat tuple."""
+    arms = zip(*map(itemgetter(1), run))
+    rows = zip(*lead, map(itemgetter(0), run), *arms, map(itemgetter(2), run))
+    return tuple(chain.from_iterable(rows))
+
+
+def _relation_parts(pres: Presentation, head: str, tail: str) -> tuple[list[str], list[str]]:
+    """Each generator index written once into both halves of a relation's
+    text, so relation (i, j) is written as head[i] + tail[j] with no
+    number formatted per relation."""
+    indices = range(len(pres.generators))
+    return list(map(head.format, indices)), list(map(tail.format, indices))
 
 
 def to_json(pres: Presentation) -> str:
     """Byte for byte ``json.dumps(..., indent=2) + "\n"`` of the three fields,
-    from a fixed template: every field is an int or a list of ints."""
-    generators = [
-        f'{{\n      "star": {g.star},\n'
-        f'      "a": {_array(list(map(str, g.a)), "      ")},\n'
-        f'      "p": {g.p}\n    }}'
-        for g in pres.generators
-    ]
-    relations = [f"[\n      {i},\n      {j}\n    ]" for i, j in pres.relations]
-    head = f'{{\n  "n": {pres.n},\n  "generators": {_array(generators, "  ")},\n'
-    return head + f'  "relations": {_array(relations, "  ")}\n}}\n'
+    every one an int or a list of ints: each run of generators with k arms
+    through one template built for k."""
+    blocks = []
+    for k, _, run in _runs(pres.generators):
+        a = "[\n        " + ",\n        ".join(["%s"] * k) + "\n      ]" if k else "[]"
+        item = '{\n      "star": %s,\n      "a": ' + a + ',\n      "p": %s\n    }'
+        blocks.append(",\n    ".join([item] * len(run)) % _fields(run))
+    generators = "[\n    " + ",\n    ".join(blocks) + "\n  ]" if blocks else "[]"
+    head, tail = _relation_parts(pres, "[\n      {},\n      ", "{}\n    ]")
+    relations = ",\n    ".join([head[i] + tail[j] for i, j in pres.relations])
+    relations = "[\n    " + relations + "\n  ]" if relations else "[]"
+    return f'{{\n  "n": {pres.n},\n  "generators": {generators},\n  "relations": {relations}\n}}\n'
 
 
 def to_dot(pres: Presentation) -> str:
-    """Defining graph in DOT: one vertex per generator, one edge per relation."""
+    """Defining graph in DOT: one vertex per generator, one edge per relation;
+    each run of generators with k arms goes through one template for k."""
     lines = [f"graph strands_{pres.n} {{"]
-    for i, g in enumerate(pres.generators):
-        label = f"s{g.star} a=({','.join(map(str, g.a))}) p={g.p}"
-        lines.append(f'  g{i} [label="{label}"];')
-    for i, j in pres.relations:
-        lines.append(f"  g{i} -- g{j};")
+    for k, start, run in _runs(pres.generators):
+        line = '  g%s [label="s%s a=(' + ",".join(["%s"] * k) + ') p=%s"];'
+        lines.append("\n".join([line] * len(run)) % _fields(run, range(start, start + len(run))))
+    head, tail = _relation_parts(pres, "  g{} -- g", "{};")
+    lines += [head[i] + tail[j] for i, j in pres.relations]
     lines.append("}")
     return "\n".join(lines) + "\n"

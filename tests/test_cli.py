@@ -504,6 +504,8 @@ class TestTable:
         ["--k-min", "9", "--k-max", "10", "--n-max", "1"],
         ["--k-min", "2", "--k-max", "8", "--n-min", "0", "--n-max", "9"],
         ["--k-min", "3", "--k-max", "6", "--n-min", "8", "--n-max", "12"],
+        # k=100 widens its row label; the header and the other rows follow
+        ["--k-min", "99", "--k-max", "100", "--n-max", "1"],
     ])
     def test_header_numbers_end_over_the_row_numbers(self, argv, capsys):
         assert cli.main(["table", *argv]) == 0

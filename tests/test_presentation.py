@@ -17,6 +17,7 @@ from treebraid.presentation import (
     to_dot,
     to_json,
 )
+from dot_reference import to_dot_by_lines
 from test_random_trees import random_caterpillar
 
 
@@ -251,6 +252,28 @@ class TestExport:
             assert json.loads(text) == fields
         assert any(not p.generators for p in presentations)
         assert any(p.generators and not p.relations for p in presentations)
+
+    def test_dot_bytes_match_the_line_by_line_writer(self, interval, tripod, star4, htree,
+                                                      caterpillar3, caterpillar5):
+        # the presentations test_json_bytes_match_json_dumps writes: empty
+        # lists, runs of one arm count across stars, a hand-made presentation
+        rng = random.Random(20240)
+        arm_counts = decompositions(interval, tripod, star4, htree, caterpillar3, caterpillar5)
+        arm_counts += [trees.decompose(random_caterpillar(rng)) for _ in range(25)]
+        presentations = [assemble(d, n) for d in arm_counts for n in range(7)]
+        presentations.append(Presentation(3, (
+            Generator(1, (0, 2, 1), 2),
+            Generator(2, (1, 1, 1), 2),
+        ), ()))
+        for p in presentations:
+            assert to_dot(p) == to_dot_by_lines(p)
+
+        def spans_stars(p):
+            # one arm count on both sides of a star boundary
+            return any(g.star != h.star and len(g.a) == len(h.a)
+                       for g, h in zip(p.generators, p.generators[1:]))
+
+        assert any(map(spans_stars, presentations))
 
     def test_generator_objects_are_the_record_fields(self):
         # a Generator is its JSON object: the same keys, in the same order

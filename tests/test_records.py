@@ -164,3 +164,21 @@ class TestErrorMessages:
             "relation image [Generator(star=1, a=(1, 3, 1), p=2), "
             "Generator(star=2, a=(3, 1, 1), p=2)] missing at level 5"
         )
+
+    def test_missing_relation_image_past_the_first(self, htree):
+        # the target lacks only the image of the second source relation: the
+        # one subset check fails and the message names that image
+        d = trees.decompose(htree)
+        source, target = pres.assemble(d, 5), pres.assemble(d, 6)
+        mapping = pres.stabilize(source, target).mapping
+        i, j = source.relations[1]
+        image = (mapping[i], mapping[j])
+        assert image != target.relations[0]
+        dropped = target._replace(relations=tuple(r for r in target.relations if r != image))
+        assert len(dropped.relations) == len(target.relations) - 1
+        with pytest.raises(NaturalityError) as info:
+            pres.stabilize(source, dropped)
+        assert str(info.value) == (
+            "relation image [Generator(star=1, a=(1, 4, 1), p=2), "
+            "Generator(star=2, a=(3, 1, 2), p=2)] missing at level 6"
+        )
