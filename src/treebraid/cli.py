@@ -48,18 +48,29 @@ def _add_tree_and_range(sub):
     group.add_argument("--n-max", type=int, help="range end, inclusive")
 
 
-def _strand_range(args) -> list[int]:
+def _strand_range(args) -> range:
     if args.n is not None:
         if args.n_min is not None or args.n_max is not None:
             raise ValueError("give either --n or --n-min/--n-max, not both")
         if args.n < 0:
             raise ValueError("--n must be >= 0")
-        return [args.n]
+        return range(args.n, args.n + 1)
     if args.n_min is None or args.n_max is None:
         raise ValueError("need --n or both --n-min and --n-max")
     if args.n_min < 0 or args.n_max < args.n_min:
         raise ValueError("need 0 <= --n-min <= --n-max")
-    return list(range(args.n_min, args.n_max + 1))
+    return range(args.n_min, args.n_max + 1)
+
+
+def _check_generator_cap(arm_counts: tuple[int, ...], n: int) -> None:
+    """Refuse a level of more generators than the default cell cap, counted
+    exactly in closed form before anything is built or written."""
+    gens = sum(stars.rank_closed_form(k, n) for k in arm_counts)
+    cap = cubes.DEFAULT_CELL_CAP
+    if gens > cap:
+        raise cubes.ResourceCapError(
+            f"level n={n} has {gens} generators, above the cap {cap}", cells=gens, cap=cap
+        )
 
 
 def positive_int(text: str) -> int:
@@ -78,11 +89,12 @@ def _write_atomic(path: Path, text: str) -> None:
 def cmd_present(args) -> int:
     tree = trees.load_tree(args.tree)
     arm_counts = trees.decompose(tree)
-    ns = _strand_range(args)    # before --out is created
+    ns = _strand_range(args)
+    _check_generator_cap(arm_counts, ns[-1])    # both before --out is created
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    levels = []
+    counts = {}
     for n in ns:
         pres = presentation.assemble(arm_counts, n)
         if out_dir:
@@ -94,22 +106,27 @@ def cmd_present(args) -> int:
         else:
             sys.stdout.write(presentation.to_json(pres))
         if args.verify:
-            levels.append((n, cubes.raag_clique_counts(pres)))
-    return _check_levels(tree, levels, args) if args.verify else EXIT_OK
+            counts[n] = cubes.raag_clique_counts(pres)
+    return _check_levels(tree, ns, counts.__getitem__, args) if args.verify else EXIT_OK
 
 
 def cmd_verify(args) -> int:
     tree = trees.load_tree(args.tree)
     arm_counts = trees.decompose(tree)
     ns = _strand_range(args)    # before _check_levels prints or makes anything
-    levels = ((n, cubes.raag_clique_counts(presentation.assemble(arm_counts, n))) for n in ns)
-    return _check_levels(tree, levels, args)
+
+    def clique_counts(n):
+        return cubes.raag_clique_counts(presentation.assemble(arm_counts, n))
+
+    return _check_levels(tree, ns, clique_counts, args)
 
 
-def _check_levels(tree, levels, args) -> int:
-    """Oracle verdict for each (n, clique counts) pair.  The counts come
-    from the tree's arm counts in spine order alone; the oracle builds its
-    complex on the input tree itself."""
+def _check_levels(tree, ns, clique_counts, args) -> int:
+    """Oracle verdict for each level n against clique_counts(n).  The
+    counts come from the tree's arm counts in trunk order alone; the oracle
+    builds its complex on the input tree itself.  Each level's oracle report,
+    cell cap included, comes before its counts, so a level over the cap is
+    refused before its presentation is built."""
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         # refused before the oracle runs: the nearest existing path on the
@@ -121,8 +138,9 @@ def _check_levels(tree, levels, args) -> int:
     header = f"{'n':>3} {'gens':>6} {'rels':>6} {'tris':>6} {'b1':>6} {'b2':>6} {'b3':>4} {'status':>8}"
     print(header)
     failed = False
-    for n, expect in levels:
+    for n in ns:
         report = cubes.oracle_report(tree, n, args.dmax, args.subdivision, args.cell_cap)
+        expect = clique_counts(n)
         betti = report.betti
         torsion = [list(t) for t in report.torsion]
         # b_d against the d-clique count, in every degree the oracle reached
@@ -186,6 +204,7 @@ def cmd_stabilize(args) -> int:
     top = args.n
     if top < 0:
         raise ValueError("--n must be >= 0")
+    _check_generator_cap(arm_counts, top)
     print(f"{'level':>10} {'gens':>6} {'rels':>6} {'embedded':>9}")
     previous = presentation.assemble(arm_counts, 0)
     for level in range(1, top + 1):

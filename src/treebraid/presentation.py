@@ -1,10 +1,10 @@
 """Commutator-only presentations of the n-strand group of a linear tree.
 
 A linear tree enters only through its arm counts: the degrees of its
-branch vertices, in spine order from the marked endpoint (see
+branch vertices, in trunk order from the marked endpoint (see
 ``trees.decompose``).  Generators are the star-complex basis edges of
 each star, tagged with the 1-based star index.  Relations are built by
-recursion along the spine: gluing star i onto the trees to its right
+recursion along the trunk: gluing star i onto the trees to its right
 commutes, for each split k of the strands, everything that arrives on star
 i's arm 2 from the shared endpoint with everything on the right-hand side
 that arrives from its left endpoint.  The result is exactly the data of a
@@ -44,7 +44,7 @@ class NaturalityError(RuntimeError):
 
 
 class Generator(NamedTuple):
-    """The basis edge (a, p) of star number ``star``, 1-based along the spine."""
+    """The basis edge (a, p) of star number ``star``, 1-based along the trunk."""
 
     star: int
     a: tuple[int, ...]
@@ -72,7 +72,7 @@ class StabilizationMap(NamedTuple):
 
 def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     """Presentation of the n-strand group of the linear tree whose stars,
-    in spine order, have these arm counts.
+    in trunk order, have these arm counts.
 
     Recursion over the suffix tree X_i = stars i..m: a single star is free;
     gluing star i on the left keeps all of X_{i+1}'s relations and adds,
@@ -111,7 +111,7 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
 
     # suffix[k]: level-n indices of X_{i+1}'s level-k generators, shifted
     # n - k strands in along arm 1; later[g]: the partners h > g of g
-    suffix: list[list[int]] = [[] for _ in range(n)]
+    suffix: list[list[int]] = [[] for _ in range(n)] if len(arm_counts) > 1 else []
     later: list[set[int]] = [set() for _ in generators]
     for i in range(len(arm_counts) - 1, 0, -1):
         for k in range(1, n):

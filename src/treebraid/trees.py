@@ -4,13 +4,13 @@ A tree here is a plain undirected tree on string vertex ids, with one
 degree-1 vertex singled out.  The module knows how to
 
 * parse trees from JSON or a simple adjacency text format,
-* test the "linear" condition: every branch vertex (degree >= 3) lies on a
-  single path starting at the marked endpoint,
+* test the "linear" condition: every branch vertex (degree >= 3) lies on
+  the trunk, the path from the marked endpoint to the farthest one,
 * read off a linear tree's arm counts: the degrees of its branch vertices
-  in spine order, which is all the presentation takes from a tree,
+  in trunk order, which is all the presentation takes from a tree,
 * subdivide edges (needed by the cube-complex verifier).
 
-Everything is immutable and deterministic: spines and ids are ordered by
+Everything is immutable and deterministic: ties and ids are settled by
 string comparison, never by hash order.  ``Tree`` is a slotted class with
 read-only fields; it builds its adjacency once, on construction, and is
 equal and hashed as (vertices, edges, endpoint), so the same tree written
@@ -92,9 +92,6 @@ class Tree:
     def branch_vertices(self) -> tuple[str, ...]:
         """Vertices of degree >= 3, sorted by id."""
         return tuple(v for v in self.vertices if self.degree(v) >= 3)
-
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self.degree(v) == 1)
 
 
 def make_tree(vertices, edges, endpoint: str) -> Tree:
@@ -205,17 +202,6 @@ def load_tree(path) -> Tree:
         return parse_tree(fh.read())
 
 
-def _walk_path(tree: Tree, start: str, first_step: str) -> list[str]:
-    """Follow the unique degree-<=2 continuation from start through first_step."""
-    path = [start, first_step]
-    prev, cur = start, first_step
-    while tree.degree(cur) == 2:
-        nxt = next(x for x in tree.neighbors(cur) if x != prev)
-        path.append(nxt)
-        prev, cur = cur, nxt
-    return path
-
-
 def bfs_parents(tree: Tree, root: str) -> dict[str, str | None]:
     """Breadth-first parent of each vertex reachable from root (the root's
     is None), keyed in visiting order."""
@@ -231,22 +217,19 @@ def bfs_parents(tree: Tree, root: str) -> dict[str, str | None]:
 
 
 def validate_linear(tree: Tree) -> tuple[str, ...]:
-    """Return the spine: a path from the marked endpoint, through every
-    branch vertex, to a leaf.
+    """Return the trunk: the path from the marked endpoint to the farthest
+    branch vertex (the larger id on a tie), or () when there is none.
 
-    The far end is chosen deterministically: past the last branch vertex the
-    spine continues toward the lowest-id reachable leaf.  Raises
-    NotLinearError (naming the stranded branch vertices) when no such path
-    exists, which covers both genuinely non-linear trees and linear trees
-    whose marked endpoint sits on a middle branch.
+    The tree is linear from the endpoint exactly when the trunk holds every
+    branch vertex.  Raises NotLinearError, naming the branch vertices off
+    the trunk in id order, when it does not: this covers both genuinely
+    non-linear trees and linear trees whose marked endpoint sits on a
+    middle branch.
     """
     nodes = set(tree.branch_vertices())
-    p = tree.endpoint
     if not nodes:
-        # max degree <= 2: the tree is a path and p is one of its two ends
-        return tuple(_walk_path(tree, p, tree.neighbors(p)[0]))
-
-    parent = bfs_parents(tree, p)
+        return ()
+    parent = bfs_parents(tree, tree.endpoint)
     dist: dict[str, int] = {}
     for v, up in parent.items():       # parents come before their children
         dist[v] = 0 if up is None else dist[up] + 1
@@ -262,13 +245,7 @@ def validate_linear(tree: Tree) -> tuple[str, ...]:
             + ", ".join(repr(v) for v in missed),
             offending=tuple(missed),
         )
-    # extend past the last branch vertex toward the lowest-id leaf
-    before = trunk[-2]
-    tails = [
-        _walk_path(tree, far, x) for x in tree.neighbors(far) if x != before
-    ]
-    tail = min(tails, key=lambda t: t[-1])
-    return tuple(trunk + tail[1:])
+    return tuple(trunk)
 
 
 def _fresh_id(taken: set[str], base: str) -> str:
@@ -280,16 +257,16 @@ def _fresh_id(taken: set[str], base: str) -> str:
 
 
 def decompose(tree: Tree) -> tuple[int, ...]:
-    """Arm counts of the stars of a linear tree, in spine order.
+    """Arm counts of the stars of a linear tree, in trunk order.
 
-    Star i is the i-th branch vertex met walking the spine from the marked
+    Star i is the i-th branch vertex met walking the trunk from the marked
     endpoint, and its arm count is that vertex's degree.  This tuple is all
     the presentation reads of a tree: two linear trees with the same arm
     counts, such as a tree and any subdivision of it, have the same strand
-    groups.  An interval has no stars and gives ().
+    groups.  A tree with no branch vertex (an interval) has no stars and
+    gives ().
     """
-    spine = validate_linear(tree)
-    return tuple(tree.degree(v) for v in spine if tree.degree(v) >= 3)
+    return tuple(tree.degree(v) for v in validate_linear(tree) if tree.degree(v) >= 3)
 
 
 def subdivide_edges(tree: Tree, parts: int) -> Tree:

@@ -11,6 +11,8 @@ import pytest
 
 from treebraid import cli, cubes, presentation, stars, trees
 
+from conftest import deadline
+
 HTREE = {
     "vertices": ["p", "a", "u", "v", "b", "c"],
     "edges": [["p", "u"], ["a", "u"], ["u", "v"], ["v", "b"], ["v", "c"]],
@@ -232,6 +234,20 @@ class TestVerify:
         # the largest layer at 3 pieces per edge is the 2-cells
         assert "5874" in capsys.readouterr().err
 
+    def test_cell_cap_refuses_before_the_presentation(self, tree_file, capsys, monkeypatch):
+        # each level's cap is checked before its presentation is assembled
+        def assemble(arm_counts, n):
+            raise AssertionError("the presentation was assembled")
+
+        monkeypatch.setattr(presentation, "assemble", assemble)
+        with deadline(1):
+            code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "100"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1    # the header alone
+        assert err.startswith("error: largest cell layer has ")
+        assert err.endswith(" cells, above the cap 5000000\n")
+
     def test_subdivision_above_the_cap_exits_4_before_cutting(self, tree_file, capsys, monkeypatch):
         # the H-tree's 6 vertices and 5 edges, cut into 20 pieces, give 101
         # vertices and 100 edges, so at n=2 100 * 99 = 9900 1-cells
@@ -397,6 +413,64 @@ class TestSinglePass:
             monkeypatch.setattr(module, name, counting)
         assert cli.main([argv[0], "--tree", tree_file(HTREE), *argv[1:]]) == 0
         assert calls == {"assemble": 5, "load_tree": 1}
+
+
+class TestGeneratorCap:
+    """present and stabilize refuse a level of more generators than the
+    default cell cap, counted exactly, before they print or make anything."""
+
+    @pytest.mark.parametrize("argv", [
+        ["present", "--n", "99999999999"],
+        ["present", "--n", "99999999999", "--format", "dot", "--out"],
+        ["present", "--n-min", "0", "--n-max", "99999999999", "--out"],
+        ["present", "--n", "99999999999", "--verify", "--out"],
+        ["stabilize", "--n", "99999999999"],
+    ], ids=["present", "present-out", "present-range", "present-verify", "stabilize"])
+    def test_absurd_n_exits_4_before_any_output(self, tree_file, tmp_path, capsys, argv):
+        out_dir = tmp_path / "out"
+        argv = [*argv, str(out_dir)] if argv[-1] == "--out" else argv
+        with deadline(1):
+            code = cli.main([argv[0], "--tree", tree_file(HTREE), *argv[1:]])
+        assert code == 4
+        assert capsys.readouterr() == ("", (
+            "error: level n=99999999999 has 9999999999700000000002 generators,"
+            " above the cap 5000000\n"
+        ))
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["present", "stabilize"])
+    def test_cap_sits_between_n_2236_and_2237(self, tree_file, capsys, monkeypatch, command):
+        # the H-tree has 4,997,460 generators at n = 2236, 5,001,932 at 2237
+        def assemble(arm_counts, n):
+            raise presentation.NaturalityError("assembled")
+
+        monkeypatch.setattr(presentation, "assemble", assemble)
+        path = tree_file(HTREE)
+        assert cli.main([command, "--tree", path, "--n", "2236"]) == 3
+        assert cli.main([command, "--tree", path, "--n", "2237"]) == 4
+        assert capsys.readouterr().err.endswith(
+            "error: level n=2237 has 5001932 generators, above the cap 5000000\n"
+        )
+
+    def test_five_hub_caterpillar_over_the_cap_at_n_100(self, tree_file, caterpillar5, capsys):
+        path = tree_file(tree_json(caterpillar5))
+        assert cli.main(["present", "--tree", path, "--n", "100"]) == 4
+        assert "has 13773375 generators" in capsys.readouterr().err
+
+    def test_interval_at_a_large_n_allocates_nothing_per_strand(self, tree_file, capsys):
+        # no generators, so no cap; and with fewer than two stars assemble
+        # builds no per-strand list
+        tracemalloc.start()
+        try:
+            code = cli.main(["present", "--tree", tree_file(INTERVAL), "--n", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "n": 1000000, "generators": [], "relations": [],
+        }
+        assert peak < 1_000_000, peak
 
 
 class TestPinnedOutput:

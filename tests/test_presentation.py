@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import groupby
 
 import pytest
 
@@ -81,7 +82,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("parts", [2, 3])
     def test_unchanged_by_subdivision(self, htree, caterpillar5, parts):
-        # subdividing keeps every hub's degree and the hubs' spine order,
+        # subdividing keeps every hub's degree and the hubs' trunk order,
         # so the presentation cannot change
         for tree in (htree, caterpillar5):
             fine = trees.subdivide_edges(tree, parts)
@@ -98,6 +99,30 @@ class TestAssemble:
         monkeypatch.setattr(pres, "add_strand", lambda edge, arm, times=1: edge)
         with pytest.raises(NaturalityError, match="not a generator at level 4"):
             assemble(trees.decompose(htree), 4)
+
+
+def assert_partners_are_suffixes(p):
+    """Each generator's partners on each later star are a contiguous suffix
+    of that star's block of generators."""
+    stop = {g.star: i + 1 for i, g in enumerate(p.generators)}
+    for (g, star), hs in groupby(p.relations, lambda r: (r[0], p.generators[r[1]].star)):
+        hs = [h for _, h in hs]
+        assert star > p.generators[g].star
+        assert hs == list(range(stop[star] - len(hs), stop[star])), (p.n, g, star)
+
+
+class TestSuffixPartners:
+    @pytest.mark.parametrize("n", range(9))
+    def test_fixtures(self, tripod, star4, htree, caterpillar3, caterpillar5, n):
+        for d in decompositions(tripod, star4, htree, caterpillar3, caterpillar5):
+            assert_partners_are_suffixes(assemble(d, n))
+
+    def test_random_caterpillars(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            d = tuple(rng.randint(3, 6) for _ in range(rng.randint(2, 4)))
+            for n in range(9):
+                assert_partners_are_suffixes(assemble(d, n))
 
 
 class TestPredicate:

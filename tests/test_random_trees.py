@@ -51,9 +51,9 @@ def test_random_caterpillars_full_pipeline():
         tree = random_caterpillar(rng)
         arm_counts = trees.decompose(tree)
         assert arm_counts, f"trial {trial} produced no hubs"
-        # arm counts are the hub degrees, in spine order
-        spine = trees.validate_linear(tree)
-        assert arm_counts == tuple(tree.degree(v) for v in spine if tree.degree(v) >= 3)
+        # arm counts are the hub degrees, in trunk order
+        trunk = trees.validate_linear(tree)
+        assert arm_counts == tuple(tree.degree(v) for v in trunk if tree.degree(v) >= 3)
         for n in range(5):
             pres = presentation.assemble(arm_counts, n)
             assert len(pres.generators) == sum(stars.rank(k, n) for k in arm_counts)
@@ -69,8 +69,8 @@ def test_random_caterpillars_linearity_stable_under_subdivision():
     rng = random.Random(717)
     for _ in range(10):
         tree = random_caterpillar(rng)
-        spine = trees.validate_linear(tree)
-        fine_spine = trees.validate_linear(trees.subdivide_edges(tree, 2))
-        # original spine vertices survive subdivision in order
-        kept = [v for v in fine_spine if v in set(spine)]
-        assert kept == list(spine)
+        trunk = trees.validate_linear(tree)
+        fine_trunk = trees.validate_linear(trees.subdivide_edges(tree, 2))
+        # original trunk vertices survive subdivision in order
+        kept = [v for v in fine_trunk if v in set(trunk)]
+        assert kept == list(trunk)

@@ -504,6 +504,18 @@ class TestAddStrand:
         for e in edges:
             assert add_strand(add_strand(e, 1), 2) == add_strand(add_strand(e, 2), 1)
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_arm_1_images_are_the_basis_suffix(self, k):
+        # pushed n - m strands in along arm 1, the level-m basis is the last
+        # len(basis(k, m)) edges of the level-n basis, in order: the suffix
+        # property the presentation's relations rest on
+        for n in range(10):
+            top = basis(k, n)
+            for m in range(n + 1):
+                low = basis(k, m)
+                images = [add_strand(e, 1, n - m) for e in low]
+                assert images == list(top[len(top) - len(low):]), (k, m, n)
+
     def test_rejects_high_arms(self):
         with pytest.raises(ValueError):
             add_strand(((0, 1, 1), 2), 3)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from treebraid.trees import (
     NotLinearError,
     ParseError,
     decompose,
+    make_tree,
     parse_tree,
     subdivide_edges,
     validate_linear,
@@ -87,15 +89,15 @@ class TestParse:
 
 class TestValidateLinear:
     def test_tripod_spine(self, tripod):
-        spine = validate_linear(tripod)
-        assert spine[0] == "x" and "v" in spine and len(spine) == 3
+        # the trunk stops at the hub: nothing past the last hub is read
+        assert validate_linear(tripod) == ("x", "v")
 
     def test_htree_spine_covers_both_hubs(self, htree):
-        spine = validate_linear(htree)
-        assert spine[0] == "p"
-        assert {"u", "v"} <= set(spine)
-        # exhaustive check: spine is a real path in the tree
-        for x, y in zip(spine, spine[1:]):
+        trunk = validate_linear(htree)
+        assert trunk[0] == "p"
+        assert {"u", "v"} <= set(trunk)
+        # exhaustive check: the trunk is a real path in the tree
+        for x, y in zip(trunk, trunk[1:]):
             assert y in htree.neighbors(x)
 
     def test_spider_not_linear(self, spider):
@@ -106,7 +108,7 @@ class TestValidateLinear:
     def test_spider_no_covering_path_exhaustive(self, spider):
         # independent confirmation: no leaf-to-leaf path covers all hubs
         hubs = set(spider.branch_vertices())
-        leaves = spider.leaves()
+        leaves = [v for v in spider.vertices if spider.degree(v) == 1]
 
         def path(a, b):
             parent = {a: None}
@@ -133,12 +135,72 @@ class TestValidateLinear:
             validate_linear(shifted)
 
     def test_interval_spine(self, interval):
-        assert validate_linear(interval) == ("p", "m", "q")
+        # no branch vertex, so no trunk: the interval is linear with no stars
+        assert validate_linear(interval) == ()
 
     def test_stable_under_subdivision(self, htree, spider):
         assert validate_linear(subdivide_edges(htree, 3))
         with pytest.raises(NotLinearError):
             validate_linear(subdivide_edges(spider, 3))
+
+
+def random_tree(rng):
+    """A random tree of 2..14 vertices whose ids are unrelated to its shape,
+    marked at a random leaf."""
+    size = rng.randint(2, 14)
+    names = [f"v{i}" for i in rng.sample(range(100), size)]
+    edges = [(names[i], names[rng.randrange(i)]) for i in range(1, size)]
+    ends = [v for v in names if sum(v in e for e in edges) == 1]
+    return make_tree(names, edges, rng.choice(ends))
+
+
+def paths_from_endpoint(tree):
+    """Each vertex's path from the marked endpoint, found depth first."""
+    paths = {tree.endpoint: (tree.endpoint,)}
+    stack = [tree.endpoint]
+    while stack:
+        v = stack.pop()
+        for w in tree.neighbors(v):
+            if w not in paths:
+                paths[w] = paths[v] + (w,)
+                stack.append(w)
+    return paths
+
+
+class TestTrunkAgainstBruteForce:
+    def test_random_trees(self):
+        rng = random.Random(411)
+        seen = {"linear": 0, "not linear": 0, "tied": 0}
+        for trial in range(3000):
+            tree = random_tree(rng)
+            paths = paths_from_endpoint(tree)
+            hubs = {v for v in tree.vertices if tree.degree(v) >= 3}
+            ends = [v for v in tree.vertices if tree.degree(v) == 1 and v != tree.endpoint]
+            covering = [paths[v] for v in ends if hubs <= set(paths[v])]
+            if covering:
+                # linear: the trunk is that path cut after its last hub
+                path = covering[0]
+                last = max((i + 1 for i, v in enumerate(path) if v in hubs), default=0)
+                assert validate_linear(tree) == path[:last], trial
+                assert decompose(tree) == tuple(tree.degree(v) for v in path if v in hubs), trial
+                seen["linear"] += 1
+                continue
+            # not linear: the hubs off the path to the farthest hub, the
+            # larger id on a tie
+            depth = max(len(paths[v]) for v in hubs)
+            far = max(v for v in hubs if len(paths[v]) == depth)
+            missed = tuple(sorted(hubs - set(paths[far])))
+            with pytest.raises(NotLinearError) as exc:
+                decompose(tree)
+            assert exc.value.offending == missed, trial
+            assert str(exc.value) == (
+                "not linear: no path from the marked endpoint covers branch vertices "
+                + ", ".join(map(repr, missed))
+            ), trial
+            seen["not linear"] += 1
+            seen["tied"] += sum(len(paths[v]) == depth for v in hubs) > 1
+        # every branch of the check is reached, ties included
+        assert min(seen.values()) >= 50, seen
 
 
 class TestDecompose:
@@ -167,7 +229,7 @@ class TestDecompose:
 
     def test_spine_order_not_id_order(self):
         # hubs "z" (degree 4) then "a" (degree 3) from the endpoint: the
-        # counts follow the spine, not the sorted ids
+        # counts follow the trunk, not the sorted ids
         t = tree_from_edges(
             [("p", "z"), ("z", "z1"), ("z", "z2"), ("z", "a"), ("a", "a1"), ("a", "a2")], "p"
         )
