@@ -125,8 +125,8 @@ def _check_levels(tree, ns, clique_counts, args) -> int:
     """Oracle verdict for each level n against clique_counts(n).  The
     counts come from the tree's arm counts in trunk order alone; the oracle
     builds its complex on the input tree itself.  Each level's oracle report,
-    cell cap included, comes before its counts, so a level over the cap is
-    refused before its presentation is built."""
+    cell cap included, comes before its counts and, at the first level, the
+    header, so a level over the cap is refused before any of them."""
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         # refused before the oracle runs: the nearest existing path on the
@@ -136,10 +136,11 @@ def _check_levels(tree, ns, clique_counts, args) -> int:
         if not existing.is_dir():
             raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
     header = f"{'n':>3} {'gens':>6} {'rels':>6} {'tris':>6} {'b1':>6} {'b2':>6} {'b3':>4} {'status':>8}"
-    print(header)
     failed = False
     for n in ns:
         report = cubes.oracle_report(tree, n, args.dmax, args.subdivision, args.cell_cap)
+        if n == ns[0]:
+            print(header)
         expect = clique_counts(n)
         betti = report.betti
         torsion = [list(t) for t in report.torsion]
@@ -147,26 +148,15 @@ def _check_levels(tree, ns, clique_counts, args) -> int:
         ok = betti[0] == 1 and betti[1:] == expect[:len(betti) - 1] and not any(torsion)
         b1, b2, b3 = (*map(str, betti[1:]), "-", "-", "-")[:3]
         status = "PASS" if ok else "FAIL"
-        print(
-            f"{n:>3} {expect[0]:>6} {expect[1]:>6} {expect[2]:>6} "
-            f"{b1:>6} {b2:>6} {b3:>4} {status:>8}"
-        )
+        print(f"{n:>3} {expect[0]:>6} {expect[1]:>6} {expect[2]:>6} "
+              f"{b1:>6} {b2:>6} {b3:>4} {status:>8}")
         if out_dir:
             # made here, so a level refused before its report leaves no empty directory
             out_dir.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "n": n,
-                "generators": expect[0],
-                "relations": expect[1],
-                "triangles": expect[2],
-                "betti": list(betti),
-                "torsion": torsion,
-                "status": status,
-            }
-            _write_atomic(
-                out_dir / f"verify_n{n}.json",
-                json.dumps(payload, indent=2) + "\n",
-            )
+            payload = {"n": n, "generators": expect[0], "relations": expect[1],
+                       "triangles": expect[2], "betti": list(betti), "torsion": torsion,
+                       "status": status}
+            _write_atomic(out_dir / f"verify_n{n}.json", json.dumps(payload, indent=2) + "\n")
         failed = failed or not ok
     return EXIT_MISMATCH if failed else EXIT_OK
 
@@ -211,8 +201,8 @@ def cmd_stabilize(args) -> int:
         step = presentation.stabilize(previous, presentation.assemble(arm_counts, level))
         print(
             f"{level - 1:>4} -> {level:<3} {len(step.target.generators):>6} "
-            f"{len(step.target.relations):>6} "
-            f"{len(step.mapping):>4}g/{len(step.source.relations)}r"
+            f"{presentation.relation_count(step.target):>6} "
+            f"{len(step.mapping):>4}g/{presentation.relation_count(step.source)}r"
         )
         previous = step.target
     print(f"all {top} strand-addition steps embed generators and relations")

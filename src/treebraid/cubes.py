@@ -28,8 +28,9 @@ reduced, so every clearing step rests on a product already checked.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, compress, cycle
-from math import comb
+from math import comb, log10
 from typing import NamedTuple
 
 from .homology import SparseIntMatrix, chain_homology
@@ -326,20 +327,28 @@ def oracle_report(
         )
     worst = max(layer_sizes(tree, n, d_max, parts))
     if worst > cell_cap:
-        raise ResourceCapError(f"largest cell layer has {worst} cells, above the cap {cell_cap}",
+        # past 20 digits, the leading digits and digit count: float() and str() fail on huge ints
+        digits = int(log10(worst)) + 1
+        digits += (worst >= 10 ** digits) - (worst < 10 ** (digits - 1))
+        shown = f"{worst // 10 ** (digits - 6)}... ({digits} digits)" if digits > 20 else worst
+        raise ResourceCapError(f"largest cell layer has {shown} cells, above the cap {cell_cap}",
                                cells=worst, cap=cell_cap)
     return betti(build_complex(subdivide_edges(tree, parts), n, d_max=d_max))
 
 
 def raag_clique_counts(pres) -> tuple[int, int, int]:
     """(vertices, edges, triangles) of the defining graph of a
-    ``presentation.Presentation``; these are the expected Betti numbers b_1,
-    b_2, b_3 of the group the presentation defines.  With later[i] the
-    neighbours j > i of generator index i, each triangle i < j < l is one l
-    in later[i] & later[j].
+    ``presentation.Presentation``: the expected Betti numbers b_1, b_2, b_3
+    of the group it defines.  Row i holds i's partners, one range per later
+    star.  For an edge i < j, j in the c-th range of row i, row[c + 1:] lines
+    up with row j, and each triangle i < j < l is one l in both.  Each
+    distinct row is counted once, times the number of generators holding it.
     """
-    later: list[set[int]] = [set() for _ in pres.generators]
-    for i, j in pres.relations:
-        later[i].add(j)
-    triangles = sum(len(later[i] & later[j]) for i, js in enumerate(later) for j in js)
-    return (len(pres.generators), len(pres.relations), triangles)
+    rows = pres.partners
+    held = Counter(rows).items()
+    triangles = sum(
+        k * len(range(max(a.start, b.start), min(a.stop, b.stop)))
+        for row, k in held for c, r in enumerate(row)
+        for j in r for a, b in zip(row[c + 1:], rows[j])
+    )
+    return (len(pres.generators), sum(k * sum(map(len, row)) for row, k in held), triangles)

@@ -7,28 +7,21 @@ each star, tagged with the 1-based star index.  Relations are built by
 recursion along the trunk: gluing star i onto the trees to its right
 commutes, for each split k of the strands, everything that arrives on star
 i's arm 2 from the shared endpoint with everything on the right-hand side
-that arrives from its left endpoint.  The result is exactly the data of a
-defining graph: vertices = generators, edges = commuting pairs, and a
-``Presentation`` stores it as that graph: the generators sorted by
-(star, a, p), and each commuting pair as an index pair i < j into them,
-the pairs sorted.  The JSON and DOT exports write these fields as they are:
-each run of consecutive generators with the same arm count k through one
-template built for k, and each relation as two pieces of text written once
-per generator index.
+that arrives from its left endpoint.  What arrives on a star from its left
+endpoint is its generators with a[0] at or above a threshold: a suffix of
+its block of generators, which is sorted by (a, p).  So a ``Presentation``
+holds the defining graph as the generators, sorted by (star, a, p), and
+each generator's partners as one ``range`` per later star.  The exports,
+``stabilize`` and the counts read the ranges; ``Presentation.relations``
+lists the index pairs, for tests and tracing.
 
-``Generator``, ``Presentation`` and ``StabilizationMap`` are NamedTuples.
-A generator is the flat record (star, a, p), the fields of its JSON object
-in the same order, so it hashes and compares as that tuple and sorting and
-index lookups run in C.
-
-``assemble`` realizes that sweep literally, by iterating strand-addition
+``assemble`` realizes the sweep literally, by iterating strand-addition
 maps; ``commutation_predicate`` is the equivalent closed form in terms of
-capacities, kept as an independent code path so the two can be checked
-against each other.
+capacities, an independent code path checked against it.
 """
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, groupby
+from itertools import accumulate, chain, count, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -40,7 +33,7 @@ class SameStarError(ValueError):
 
 
 class NaturalityError(RuntimeError):
-    """A stabilization image escaped the target presentation (a bug)."""
+    """A strand-addition image is not where the presentation needs it (a bug)."""
 
 
 class Generator(NamedTuple):
@@ -53,12 +46,16 @@ class Generator(NamedTuple):
 
 class Presentation(NamedTuple):
     """The defining graph at a fixed strand count: generators in sorted
-    order, and each commuting pair as an index pair i < j into them, the
-    pairs sorted."""
+    order, and partners[g]: g's partners on each later star, as a range."""
 
     n: int
     generators: tuple[Generator, ...]
-    relations: tuple[tuple[int, int], ...]
+    partners: tuple[tuple[range, ...], ...]
+
+    @property
+    def relations(self) -> tuple[tuple[int, int], ...]:
+        """Each commuting pair as an index pair i < j, the pairs sorted."""
+        return tuple((g, h) for g, row in enumerate(self.partners) for r in row for h in r)
 
 
 class StabilizationMap(NamedTuple):
@@ -82,20 +79,20 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     endpoint (a uniform arm-1 shift on every constituent star).
 
     Generators are listed star by star, each star's basis in its (a, p)
-    order: that is their sorted (star, a, p) order with no sort.  Each star
-    keeps a dict from its bare basis edges (a, p) to their level-n indices,
-    and a shifted edge is looked up there as ``add_strand`` returns it.
-    Star first makes each such pair an index pair g < h, and sorting each
-    g's partners once sorts the pairs.  A shifted edge that is not a level-n
-    generator raises NaturalityError, naming the first in (a, p) order.
+    order, which is their sorted order.  A shifted edge is looked up in a
+    dict of its star's level-n indices as ``add_strand`` returns it, and
+    NaturalityError names the first that is not a level-n generator, or
+    arm-1 images that are not exactly a suffix of their star's block.  The
+    suffixes grow with k: each generator gets those at its largest arm-2
+    split, in a row of ranges shared per star and split.
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
     bases = [basis(k, n) for k in arm_counts]
     generators = tuple([Generator(i, a, p) for i, edges in enumerate(bases, 1) for a, p in edges])
-    # index[star - 1]: that star's basis edge (a, p) -> its level-n index
-    starts = accumulate(map(len, bases), initial=0)
-    index = [dict(zip(edges, count(start))) for edges, start in zip(bases, starts)]
+    # stops[star - 1]: one past the level-n index of that star's last generator
+    stops = list(accumulate(map(len, bases)))
+    index = [dict(zip(edges, count(stop - len(edges)))) for edges, stop in zip(bases, stops)]
 
     def indices(star: int, level: int, arm: int, times: int) -> list[int]:
         """Level-n indices of star's level-``level`` basis edges after
@@ -104,22 +101,25 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
         try:
             return list(map(index[star - 1].__getitem__, shifted))
         except KeyError as exc:
-            stray = Generator(star, *exc.args[0])
-            raise NaturalityError(
-                f"shifted generator {stray} is not a generator at level {n}"
-            ) from None
+            raise NaturalityError(f"shifted generator {Generator(star, *exc.args[0])}"
+                                  f" is not a generator at level {n}") from None
 
-    # suffix[k]: level-n indices of X_{i+1}'s level-k generators, shifted
-    # n - k strands in along arm 1; later[g]: the partners h > g of g
-    suffix: list[list[int]] = [[] for _ in range(n)] if len(arm_counts) > 1 else []
-    later: list[set[int]] = [set() for _ in generators]
+    rows = [()] * n if len(arm_counts) > 1 else []  # rows[k]: X_{i+1}'s arm-1 images at split k
+    partners: list[tuple[range, ...]] = [()] * len(generators)
     for i in range(len(arm_counts) - 1, 0, -1):
-        for k in range(1, n):
-            suffix[k] += indices(i + 1, k, 1, n - k)
-            for g in indices(i, n - k, 2, k):
-                later[g].update(suffix[k])
-    relations = tuple([(g, h) for g, hs in enumerate(later) for h in sorted(hs)])
-    return Presentation(n=n, generators=generators, relations=relations)
+        split: dict[int, int] = {}      # level-n index -> largest arm-2 split
+        for k in range(n):
+            images = indices(i + 1, k, 1, n - k)
+            block = range(stops[i] - len(images), stops[i])
+            if images != list(block):
+                raise NaturalityError(f"star {i + 1}'s level-{k} generators pushed in"
+                                      f" along arm 1 are not a suffix at level {n}")
+            rows[k] = (block, *rows[k])
+            if k:
+                split.update(zip(indices(i, n - k, 2, k), repeat(k)))
+        star = range(stops[i - 1] - len(bases[i - 1]), stops[i - 1])
+        partners[star.start:star.stop] = map(rows.__getitem__, map(split.get, star, repeat(0)))
+    return Presentation(n=n, generators=generators, partners=tuple(partners))
 
 
 def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
@@ -138,12 +138,8 @@ def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
 def predicate_relations(pres: Presentation, n: int) -> tuple[tuple[int, int], ...]:
     """Sorted index pairs the closed-form predicate induces on pres's generators."""
     gens = pres.generators
-    return tuple(
-        (i, j)
-        for i, g in enumerate(gens)
-        for j in range(i + 1, len(gens))
-        if g.star != gens[j].star and commutation_predicate(g, gens[j], n)
-    )
+    return tuple((i, j) for i, g in enumerate(gens) for j in range(i + 1, len(gens))
+                 if g.star != gens[j].star and commutation_predicate(g, gens[j], n))
 
 
 def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
@@ -151,11 +147,10 @@ def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
     target, at level n, both assembled from the same arm counts.
 
     Every generator's edge gains one strand on arm 1.  The map is checked:
-    images must be distinct generators and image relations must be
-    relations; a violation is an implementation bug, not bad input.  The
-    images are looked up in one pass and the relation images checked with
-    one subset test; only a failed check walks them again, to name the
-    sorted stray images or the first missing relation image.
+    images must be distinct generators, and each source range must map
+    into the image generator's range on that star, checked once per
+    distinct pair of rows; a violation is an implementation bug, named by
+    the sorted stray images or the first missing relation image.
     """
     n = target.n
     if n != source.n + 1:
@@ -166,20 +161,24 @@ def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
     mapping = tuple(map(index.get, images))
     if None in mapping or len(set(mapping)) != len(mapping):
         stray = sorted(Generator(*g) for g in images if g not in index)
-        raise NaturalityError(
-            f"generator images escape level {n}: {stray[:3]}"
+        raise NaturalityError(f"generator images escape level {n}: {stray[:3]}")
+    rows = set(zip(source.partners, map(target.partners.__getitem__, mapping)))
+    if not all(
+        all(map(t.__contains__, mapping[s.start:s.stop]))
+        for row, image_row in rows for s, t in zip(row, image_row)
+    ):
+        i, j = next(
+            (i, j) for i, row in enumerate(source.partners)
+            for s, t in zip(row, target.partners[mapping[i]]) for j in s if mapping[j] not in t
         )
-    # each relation image as an ordered pair, in source.relations order
-    pairs = [
-        (a, b) if (a := mapping[i]) < (b := mapping[j]) else (b, a)
-        for i, j in source.relations
-    ]
-    relations = set(target.relations)
-    if not relations.issuperset(pairs):
-        a, b = next(pair for pair in pairs if pair not in relations)
-        pair = [target.generators[a], target.generators[b]]
+        pair = [target.generators[mapping[i]], target.generators[mapping[j]]]
         raise NaturalityError(f"relation image {pair} missing at level {n}")
     return StabilizationMap(source=source, target=target, mapping=mapping)
+
+
+def relation_count(pres: Presentation) -> int:
+    """The number of commuting pairs, read off the partner ranges."""
+    return sum(map(len, chain.from_iterable(pres.partners)))
 
 
 def _runs(generators: tuple[Generator, ...]):
@@ -199,26 +198,28 @@ def _fields(run: tuple[Generator, ...], *lead) -> tuple:
     return tuple(chain.from_iterable(rows))
 
 
-def _relation_parts(pres: Presentation, head: str, tail: str) -> tuple[list[str], list[str]]:
-    """Each generator index written once into both halves of a relation's
-    text, so relation (i, j) is written as head[i] + tail[j] with no
-    number formatted per relation."""
-    indices = range(len(pres.generators))
-    return list(map(head.format, indices)), list(map(tail.format, indices))
+def _relation_texts(pres: Presentation, head: str, tail: str, sep: str) -> list[str]:
+    """Each generator g's relations (g, h) as head(g) + tail(h), joined by sep:
+    every tail formatted once, every distinct row's tails listed once."""
+    tails = list(map(tail.format, range(len(pres.generators))))
+    listed = {row: list(chain.from_iterable(tails[r.start:r.stop] for r in row))
+              for row in dict.fromkeys(pres.partners)}
+    return [(h := head.format(g)) + (sep + h).join(t)
+            for g, row in enumerate(pres.partners) if (t := listed[row])]
 
 
 def to_json(pres: Presentation) -> str:
-    """Byte for byte ``json.dumps(..., indent=2) + "\n"`` of the three fields,
-    every one an int or a list of ints: each run of generators with k arms
-    through one template built for k."""
+    """Byte for byte ``json.dumps(..., indent=2) + "\n"`` of n, the generators
+    and the relations, every one an int or a list of ints: each run of
+    generators with k arms through one template built for k."""
     blocks = []
     for k, _, run in _runs(pres.generators):
         a = "[\n        " + ",\n        ".join(["%s"] * k) + "\n      ]" if k else "[]"
         item = '{\n      "star": %s,\n      "a": ' + a + ',\n      "p": %s\n    }'
         blocks.append(",\n    ".join([item] * len(run)) % _fields(run))
     generators = "[\n    " + ",\n    ".join(blocks) + "\n  ]" if blocks else "[]"
-    head, tail = _relation_parts(pres, "[\n      {},\n      ", "{}\n    ]")
-    relations = ",\n    ".join([head[i] + tail[j] for i, j in pres.relations])
+    sep = ",\n    "
+    relations = sep.join(_relation_texts(pres, "[\n      {},\n      ", "{}\n    ]", sep))
     relations = "[\n    " + relations + "\n  ]" if relations else "[]"
     return f'{{\n  "n": {pres.n},\n  "generators": {generators},\n  "relations": {relations}\n}}\n'
 
@@ -230,7 +231,6 @@ def to_dot(pres: Presentation) -> str:
     for k, start, run in _runs(pres.generators):
         line = '  g%s [label="s%s a=(' + ",".join(["%s"] * k) + ') p=%s"];'
         lines.append("\n".join([line] * len(run)) % _fields(run, range(start, start + len(run))))
-    head, tail = _relation_parts(pres, "  g{} -- g", "{};")
-    lines += [head[i] + tail[j] for i, j in pres.relations]
+    lines += _relation_texts(pres, "  g{} -- g", "{};", "\n")
     lines.append("}")
     return "\n".join(lines) + "\n"

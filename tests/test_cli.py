@@ -244,9 +244,38 @@ class TestVerify:
             code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "100"])
         assert code == 4
         out, err = capsys.readouterr()
-        assert len(out.splitlines()) == 1    # the header alone
+        assert out == ""    # not even the header
         assert err.startswith("error: largest cell layer has ")
         assert err.endswith(" cells, above the cap 5000000\n")
+
+    def test_refused_first_level_prints_no_header(self, tree_file, capsys):
+        # the README's example of a refusal
+        assert cli.main(["verify", "--tree", tree_file(HTREE), "--n", "7"]) == 4
+        assert capsys.readouterr() == (
+            "", "error: largest cell layer has 40834200 cells, above the cap 5000000\n"
+        )
+
+    def test_header_comes_before_the_first_row(self, tree_file, capsys):
+        # a later level over the cap keeps the header and the rows before it
+        argv = ["--n-min", "2", "--n-max", "4", "--cell-cap", "1000"]
+        assert cli.main(["verify", "--tree", tree_file(HTREE), *argv]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split() == ["n", "gens", "rels", "tris", "b1", "b2", "b3", "status"]
+        assert [line.split()[0] for line in out[1:]] == ["2", "3"]
+
+    def test_huge_cell_count_gives_a_short_message(self, tree_file, capsys):
+        # the count has thousands of digits: its leading digits and its
+        # digit count are printed, not the whole number
+        with deadline(5):
+            code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", "3000"])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err) < 200
+        assert re.fullmatch(
+            r"error: largest cell layer has \d{6}\.\.\. \(\d{4} digits\) cells,"
+            r" above the cap 5000000\n", err
+        ), err
 
     def test_subdivision_above_the_cap_exits_4_before_cutting(self, tree_file, capsys, monkeypatch):
         # the H-tree's 6 vertices and 5 edges, cut into 20 pieces, give 101
@@ -415,6 +444,24 @@ class TestSinglePass:
         assert calls == {"assemble": 5, "load_tree": 1}
 
 
+@pytest.mark.parametrize("argv", [
+    ["present", "--n-min", "0", "--n-max", "8", "--format", "dot", "--out"],
+    ["present", "--n-min", "0", "--n-max", "8"],
+    ["stabilize", "--n", "8"],
+    ["verify", "--n", "4"],
+], ids=["present-dot-out", "present", "stabilize", "verify"])
+def test_no_command_builds_the_relation_pairs(tree_file, caterpillar5, tmp_path, capsys,
+                                              monkeypatch, argv):
+    def refuse(pres):
+        raise AssertionError("relation pairs were built")
+
+    monkeypatch.setattr(presentation.Presentation, "relations", property(refuse))
+    argv = [*argv, str(tmp_path / "out")] if argv[-1] == "--out" else argv
+    # the oracle runs on the H-tree, whose n = 4 level has one relation
+    tree = HTREE if argv[0] == "verify" else tree_json(caterpillar5)
+    assert cli.main([argv[0], "--tree", tree_file(tree), *argv[1:]]) == 0
+
+
 class TestGeneratorCap:
     """present and stabilize refuse a level of more generators than the
     default cell cap, counted exactly, before they print or make anything."""
@@ -510,6 +557,21 @@ class TestPinnedOutput:
         ]) == 0
         got = {path.name: sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
         assert got == self.PRESENT_FILES
+
+    def test_present_dot_files_caterpillar5_n11(self, tree_file, caterpillar5, tmp_path):
+        # at n = 11 some generators have partners on all four later stars
+        out = tmp_path / "out"
+        assert cli.main([
+            "present", "--tree", tree_file(tree_json(caterpillar5)),
+            "--n", "11", "--format", "dot", "--out", str(out),
+        ]) == 0
+        got = {path.name: sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert got == {
+            "presentation_n11.dot":
+                "306270656a763917579917388be113110a980afb97077e5c50c1a9379ad6ec08",
+            "presentation_n11.json":
+                "19b2d502eb1da95b60836aa18878d23d58bfbec0c04e440c76077589008f5b24",
+        }
 
     def test_stabilize_caterpillar5(self, tree_file, caterpillar5, capsys):
         assert cli.main(["stabilize", "--tree", tree_file(tree_json(caterpillar5)), "--n", "8"]) == 0
@@ -736,6 +798,22 @@ class TestInternalErrors:
         code = cli.main(["present", "--tree", tree_file(HTREE), "--n", "4"])
         assert code == 3
         assert "error: shifted generator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_shift_that_breaks_the_suffixes_exits_3(self, tree_file, caterpillar5, capsys,
+                                                    monkeypatch, n):
+        # an arm-1 shift by t that puts t - 1 strands on arm 1 and one on
+        # arm 2: every image is still a generator, but not the suffix
+        def misplaced(edge, arm, times=1):
+            if arm == 1 and times >= 1:
+                a = edge[0]
+                return (a[0] + times - 1, a[1] + 1, *a[2:]), edge[1]
+            return stars.add_strand(edge, arm, times)
+
+        monkeypatch.setattr(presentation, "add_strand", misplaced)
+        code = cli.main(["present", "--tree", tree_file(tree_json(caterpillar5)), "--n", str(n)])
+        assert code == 3
+        assert "along arm 1 are not a suffix" in capsys.readouterr().err
 
     def test_out_of_memory_exits_4(self, tree_file, capsys, monkeypatch):
         def exhausted(arm_counts, n):

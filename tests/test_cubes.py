@@ -549,7 +549,9 @@ class TestCliqueCounts:
         from treebraid.presentation import Generator, Presentation
 
         gens = tuple(Generator(i, (0, 1, 1), 2) for i in (1, 2, 3))
-        p = Presentation(n=2, generators=gens, relations=((0, 1), (0, 2), (1, 2)))
+        p = Presentation(n=2, generators=gens,
+                         partners=((range(1, 2), range(2, 3)), (range(2, 3),), ()))
+        assert p.relations == ((0, 1), (0, 2), (1, 2))
         assert raag_clique_counts(p) == (3, 3, 1)
 
     def test_triangles_match_a_count_over_generator_pairs(self, caterpillar5):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import groupby
 
 import pytest
@@ -14,6 +15,7 @@ from treebraid.presentation import (
     assemble,
     commutation_predicate,
     predicate_relations,
+    relation_count,
     stabilize,
     to_dot,
     to_json,
@@ -99,6 +101,47 @@ class TestAssemble:
         monkeypatch.setattr(pres, "add_strand", lambda edge, arm, times=1: edge)
         with pytest.raises(NaturalityError, match="not a generator at level 4"):
             assemble(trees.decompose(htree), 4)
+
+
+class TestPartnerRows:
+    def test_rows_are_shared_suffix_ranges(self, caterpillar5):
+        # one range per later star, ending where that star's block ends,
+        # and one row per star and largest arm-2 split
+        d = trees.decompose(caterpillar5)
+        for n in range(10):
+            p = assemble(d, n)
+            stop = {g.star: i + 1 for i, g in enumerate(p.generators)}
+            for g, row in zip(p.generators, p.partners):
+                assert [r.stop for r in row] == [stop[s] for s in range(g.star + 1, len(d) + 1)]
+                assert all(r.step == 1 for r in row)
+            assert len(set(map(id, p.partners))) <= len(d) * max(n, 1)
+            assert relation_count(p) == len(p.relations)
+
+    def test_shift_that_breaks_a_suffix_is_caught(self, monkeypatch):
+        # every arm-1 image is still a generator, and as many as before,
+        # but one strand lands on arm 2
+        def misplaced(edge, arm, times=1):
+            if arm == 1 and times >= 1:
+                a = edge[0]
+                return (a[0] + times - 1, a[1] + 1, *a[2:]), edge[1]
+            return stars.add_strand(edge, arm, times)
+
+        monkeypatch.setattr(pres, "add_strand", misplaced)
+        with pytest.raises(NaturalityError, match="along arm 1 are not a suffix at level 6"):
+            assemble((4, 4, 3, 5, 3), 6)
+
+    def test_assemble_holds_ranges_not_pairs(self):
+        d = (4, 4, 3, 5, 3)
+        assemble(d, 14)     # the star bases are cached first: only the result counts
+        tracemalloc.start()
+        try:
+            p = assemble(d, 14)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert relation_count(p) == 507_650
+        assert held < 4_000_000, held
+        assert peak < 4_000_000, peak
 
 
 def assert_partners_are_suffixes(p):
@@ -232,7 +275,9 @@ class TestStabilize:
         d = trees.decompose(htree)
         source, target = assemble(d, 4), assemble(d, 5)
         assert source.relations
-        dropped = Presentation(n=5, generators=target.generators, relations=())
+        empty = tuple(tuple(range(r.stop, r.stop) for r in row) for row in target.partners)
+        dropped = Presentation(n=5, generators=target.generators, partners=empty)
+        assert not dropped.relations
         with pytest.raises(NaturalityError, match="relation image .* missing at level 5"):
             stabilize(source, dropped)
 

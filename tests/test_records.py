@@ -23,7 +23,7 @@ def test_reprs(htree):
     assert repr(Generator(1, (0, 1, 1), 2)) == "Generator(star=1, a=(0, 1, 1), p=2)"
     assert repr(pres.assemble(trees.decompose(htree), 2)) == (
         "Presentation(n=2, generators=(Generator(star=1, a=(0, 1, 1), p=2), "
-        "Generator(star=2, a=(0, 1, 1), p=2)), relations=())"
+        "Generator(star=2, a=(0, 1, 1), p=2)), partners=((range(2, 2),), ()))"
     )
     assert repr(cubes.oracle_report(htree, 2)) == (
         "HomologyReport(cell_counts=(15, 20, 4, 0), boundary_ranks=(14, 4, 0), "
@@ -52,7 +52,7 @@ def records(htree):
     cx = cubes.build_complex(trees.subdivide_edges(htree, 2), 2)
     return [
         (Generator(1, (0, 1, 1), 2), ("star", "a", "p")),
-        (target, ("n", "generators", "relations")),
+        (target, ("n", "generators", "partners")),
         (pres.stabilize(source, target), ("source", "target", "mapping")),
         (htree, ("vertices", "edges", "endpoint")),
         (cx, ("tree", "n", "d_max", "cells")),
@@ -157,7 +157,9 @@ class TestErrorMessages:
     def test_missing_relation_image(self, htree):
         d = trees.decompose(htree)
         source, target = pres.assemble(d, 4), pres.assemble(d, 5)
-        dropped = Presentation(n=5, generators=target.generators, relations=())
+        empty = tuple(tuple(range(r.stop, r.stop) for r in row) for row in target.partners)
+        dropped = Presentation(n=5, generators=target.generators, partners=empty)
+        assert not dropped.relations
         with pytest.raises(NaturalityError) as info:
             pres.stabilize(source, dropped)
         assert str(info.value) == (
@@ -172,10 +174,14 @@ class TestErrorMessages:
         source, target = pres.assemble(d, 5), pres.assemble(d, 6)
         mapping = pres.stabilize(source, target).mapping
         i, j = source.relations[1]
-        image = (mapping[i], mapping[j])
-        assert image != target.relations[0]
-        dropped = target._replace(relations=tuple(r for r in target.relations if r != image))
-        assert len(dropped.relations) == len(target.relations) - 1
+        a, b = mapping[i], mapping[j]
+        assert (a, b) != target.relations[0]
+        # b is the first of a's partners on its star: a's range there starts one later
+        row = target.partners[a]
+        cut = tuple(range(b + 1, r.stop) if r and r.start == b else r for r in row)
+        assert cut != row
+        dropped = target._replace(partners=(*target.partners[:a], cut, *target.partners[a + 1:]))
+        assert set(target.relations) - set(dropped.relations) == {(a, b)}
         with pytest.raises(NaturalityError) as info:
             pres.stabilize(source, dropped)
         assert str(info.value) == (
