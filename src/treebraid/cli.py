@@ -198,13 +198,14 @@ def cmd_stabilize(args) -> int:
     print(f"{'level':>10} {'gens':>6} {'rels':>6} {'embedded':>9}")
     previous = presentation.assemble(arm_counts, 0)
     for level in range(1, top + 1):
-        step = presentation.stabilize(previous, presentation.assemble(arm_counts, level))
+        target = presentation.assemble(arm_counts, level)
+        presentation.stabilize(previous, target)    # NaturalityError unless it embeds
         print(
-            f"{level - 1:>4} -> {level:<3} {len(step.target.generators):>6} "
-            f"{presentation.relation_count(step.target):>6} "
-            f"{len(step.mapping):>4}g/{presentation.relation_count(step.source)}r"
+            f"{level - 1:>4} -> {level:<3} {len(target.generators):>6} "
+            f"{presentation.relation_count(target):>6} "
+            f"{len(previous.generators):>4}g/{presentation.relation_count(previous)}r"
         )
-        previous = step.target
+        previous = target
     print(f"all {top} strand-addition steps embed generators and relations")
     return EXIT_OK
 
@@ -280,7 +281,6 @@ def _run(argv) -> int:
         return EXIT_NOT_LINEAR
     except (
         stars.RankMismatchError,
-        presentation.SameStarError,        # a ValueError, so caught before those
         cubes.BoundarySquareError,
         presentation.NaturalityError,
     ) as exc:

@@ -16,8 +16,8 @@ each generator's partners as one ``range`` per later star.  The exports,
 lists the index pairs, for tests and tracing.
 
 ``assemble`` realizes the sweep literally, by iterating strand-addition
-maps; ``commutation_predicate`` is the equivalent closed form in terms of
-capacities, an independent code path checked against it.
+maps.  The closed form in terms of ``stars.capacity`` that it must agree
+with is a separate code path, kept with the tests.
 """
 from __future__ import annotations
 
@@ -25,11 +25,7 @@ from itertools import accumulate, chain, count, groupby, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .stars import add_strand, basis, capacity
-
-
-class SameStarError(ValueError):
-    """The commutation predicate needs generators from distinct stars."""
+from .stars import add_strand, basis
 
 
 class NaturalityError(RuntimeError):
@@ -58,15 +54,6 @@ class Presentation(NamedTuple):
         return tuple((g, h) for g, row in enumerate(self.partners) for r in row for h in r)
 
 
-class StabilizationMap(NamedTuple):
-    """Embedding of the (n-1)-strand presentation into the n-strand one:
-    mapping[i] is the target index of source generator i."""
-
-    source: Presentation
-    target: Presentation
-    mapping: tuple[int, ...]
-
-
 def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     """Presentation of the n-strand group of the linear tree whose stars,
     in trunk order, have these arm counts.
@@ -84,7 +71,9 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     NaturalityError names the first that is not a level-n generator, or
     arm-1 images that are not exactly a suffix of their star's block.  The
     suffixes grow with k: each generator gets those at its largest arm-2
-    split, in a row of ranges shared per star and split.
+    split, in a row of ranges shared per star and split.  In closed form,
+    g's range on a later star holds that star's generators h with
+    ``capacity(g, 2) + h.a[0] >= n``; the tests check the sweep against it.
     """
     if n < 0:
         raise ValueError(f"strand count must be >= 0, got {n}")
@@ -122,29 +111,10 @@ def assemble(arm_counts: tuple[int, ...], n: int) -> Presentation:
     return Presentation(n=n, generators=generators, partners=tuple(partners))
 
 
-def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
-    """Closed form for whether two generators commute in the n-strand group:
-    writing lo for the one on the smaller star index, lo must be pushable
-    along arm 2 at least once, and its arm-2 capacity plus hi's arm-1 count
-    must reach n.  Must coincide with the relation set of ``assemble``.
-    """
-    if g.star == h.star:
-        raise SameStarError(f"generators are both on star {g.star}")
-    lo, hi = (g, h) if g.star < h.star else (h, g)
-    cap = capacity((lo.a, lo.p), 2)
-    return cap >= 1 and cap + hi.a[0] >= n
-
-
-def predicate_relations(pres: Presentation, n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted index pairs the closed-form predicate induces on pres's generators."""
-    gens = pres.generators
-    return tuple((i, j) for i, g in enumerate(gens) for j in range(i + 1, len(gens))
-                 if g.star != gens[j].star and commutation_predicate(g, gens[j], n))
-
-
-def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
+def stabilize(source: Presentation, target: Presentation) -> tuple[int, ...]:
     """The strand-addition embedding of source, at level n - 1, into
-    target, at level n, both assembled from the same arm counts.
+    target, at level n, both assembled from the same arm counts:
+    mapping[i] is the target index of source generator i.
 
     Every generator's edge gains one strand on arm 1.  The map is checked:
     images must be distinct generators, and each source range must map
@@ -173,7 +143,7 @@ def stabilize(source: Presentation, target: Presentation) -> StabilizationMap:
         )
         pair = [target.generators[mapping[i]], target.generators[mapping[j]]]
         raise NaturalityError(f"relation image {pair} missing at level {n}")
-    return StabilizationMap(source=source, target=target, mapping=mapping)
+    return mapping
 
 
 def relation_count(pres: Presentation) -> int:

@@ -1,9 +1,18 @@
-"""Test-side companions of ``treebraid.stars``: the Type I end of an edge,
-the base vertex and the spanning tree of successor edges, listed edge by
-edge with ``is_tree_edge``.
-``stars.basis`` reads its complement in closed form; the tests check the
-tree's shape here and the basis against it.  None is needed by a command."""
-from treebraid.stars import is_tree_edge, star_edges
+"""Test-side companions of ``treebraid.stars`` and ``treebraid.presentation``.
+
+The Type I end of an edge, the base vertex and the spanning tree of
+successor edges, listed edge by edge with ``is_tree_edge``: ``stars.basis``
+reads its complement in closed form; the tests check the tree's shape here
+and the basis against it.
+
+The commutation predicate in closed form, pair by pair and as one range
+per (generator, later star): ``presentation.assemble`` sweeps
+strand-addition maps instead, and the tests check the two against each
+other.  None of this is needed by a command."""
+from bisect import bisect_left
+
+from treebraid.presentation import Generator, Presentation
+from treebraid.stars import capacity, is_tree_edge, star_edges
 
 
 def type1(edge: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
@@ -26,3 +35,54 @@ def spanning_tree(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Successor edges of every non-base vertex, in (a, p) order: a maximal
     tree of the complex."""
     return tuple(filter(is_tree_edge, star_edges(k, n)))
+
+
+class SameStarError(ValueError):
+    """The commutation predicate needs generators from distinct stars."""
+
+
+def commutation_predicate(g: Generator, h: Generator, n: int) -> bool:
+    """Closed form for whether two generators commute in the n-strand group:
+    writing lo for the one on the smaller star index, lo must be pushable
+    along arm 2 at least once, and its arm-2 capacity plus hi's arm-1 count
+    must reach n.  Must coincide with the relation set of ``assemble``.
+    """
+    if g.star == h.star:
+        raise SameStarError(f"generators are both on star {g.star}")
+    lo, hi = (g, h) if g.star < h.star else (h, g)
+    cap = capacity((lo.a, lo.p), 2)
+    return cap >= 1 and cap + hi.a[0] >= n
+
+
+def predicate_relations(pres: Presentation, n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted index pairs the closed-form predicate induces on pres's generators."""
+    gens = pres.generators
+    return tuple((i, j) for i, g in enumerate(gens) for j in range(i + 1, len(gens))
+                 if g.star != gens[j].star and commutation_predicate(g, gens[j], n))
+
+
+def predicate_partners(pres: Presentation) -> tuple[tuple[range, ...], ...]:
+    """The predicate's partners of each generator g, as one range per later
+    star: the star's generators h with a[0] >= n - capacity(g, 2), found by
+    one bisect over that star's block, which is sorted by a[0].  A capacity
+    of 0 asks for a[0] >= n, which no generator has (a basis edge keeps a
+    strand off arm 1), so it needs no case of its own."""
+    gens = pres.generators
+    first, stop = {}, {}
+    for i, g in enumerate(gens):
+        first.setdefault(g.star, i)
+        stop[g.star] = i + 1
+    a0 = [g.a[0] for g in gens]
+    partners = []
+    for g in gens:
+        least = pres.n - capacity((g.a, g.p), 2)
+        partners.append(tuple(range(bisect_left(a0, least, first[s], stop[s]), stop[s])
+                              for s in stop if s > g.star))
+    return tuple(partners)
+
+
+def spans(partners: tuple[tuple[range, ...], ...]) -> list[list[tuple[int, int]]]:
+    """Each range as (start, stop): empty ranges compare equal whatever their
+    bounds, and an empty partner range must still end where its star's
+    block ends."""
+    return [[(r.start, r.stop) for r in row] for row in partners]

@@ -8,10 +8,13 @@ slowest part of the suite by far.
 """
 from itertools import product
 
+import pytest
+
 from treebraid import cubes, presentation, stars, trees
 
 from cube_reference import pi1_presentation
-from star_reference import spanning_tree, type1
+import star_reference
+from star_reference import predicate_partners, predicate_relations, spanning_tree, spans, type1
 
 # ---------------------------------------------------------------------------
 # shared material
@@ -113,10 +116,10 @@ def test_criterion_3_stabilization():
     for name in TREES:
         arm_counts = trees.decompose(TREES[name])
         for n in range(1, 7):
-            step = presentation.stabilize(   # validates images internally
-                presentation.assemble(arm_counts, n - 1), presentation.assemble(arm_counts, n)
-            )
-            assert len(step.mapping) == len(step.source.generators)
+            source = presentation.assemble(arm_counts, n - 1)
+            # validates images internally
+            mapping = presentation.stabilize(source, presentation.assemble(arm_counts, n))
+            assert len(mapping) == len(source.generators)
     for k, n in product(range(2, 6), range(7)):
         for e in stars.basis(k, n):
             one_two = stars.add_strand(stars.add_strand(e, 1), 2)
@@ -134,7 +137,8 @@ def test_criterion_4_closed_form_equals_recursive_sweep():
         arm_counts = trees.decompose(TREES[name])
         for n in range(7):
             pres = presentation.assemble(arm_counts, n)
-            assert pres.relations == presentation.predicate_relations(pres, n), (name, n)
+            assert pres.relations == predicate_relations(pres, n), (name, n)
+            assert spans(pres.partners) == spans(predicate_partners(pres)), (name, n)
     htree = trees.decompose(TREES["htree"])
     counts = [len(presentation.assemble(htree, n).relations) for n in range(1, 5)]
     assert counts == [0, 0, 0, 1]
@@ -142,10 +146,20 @@ def test_criterion_4_closed_form_equals_recursive_sweep():
     assert len(cat.generators) == 18
     assert len(cat.relations) == 3
     report(
-        "criterion 4: capacity predicate reproduces the recursive relation"
-        " sweep on all test trees for n<=6; H-tree relations 0,0,0,1 for"
-        " n=1..4; 3-hub caterpillar at n=4 has 18 generators, 3 relations"
+        "criterion 4: capacity predicate, pair by pair and as ranges, reproduces"
+        " the recursive relation sweep on all test trees for n<=6; H-tree"
+        " relations 0,0,0,1 for n=1..4; 3-hub caterpillar at n=4 has 18"
+        " generators, 3 relations"
     )
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_criterion_4_sees_a_wrong_capacity(monkeypatch, off):
+    # the reference's capacity is off by one; assemble does not read it
+    real = star_reference.capacity
+    monkeypatch.setattr(star_reference, "capacity", lambda edge, arm: real(edge, arm) + off)
+    with pytest.raises(AssertionError):
+        test_criterion_4_closed_form_equals_recursive_sweep()
 
 
 def test_criterion_5_oracle_agreement():

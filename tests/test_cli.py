@@ -748,17 +748,6 @@ class TestStabilize:
 class TestInternalErrors:
     """Internal consistency failures exit 3 with a message, never a traceback."""
 
-    def test_same_star_exits_3_not_1(self, tree_file, capsys, monkeypatch):
-        # SameStarError is a ValueError; it must not read as an input error
-        def same_star_pair(decomp, n):
-            g = presentation.Generator(1, (0, 1, 1), 2)
-            presentation.commutation_predicate(g, g, n)
-
-        monkeypatch.setattr(presentation, "assemble", same_star_pair)
-        code = cli.main(["present", "--tree", tree_file(HTREE), "--n", "2"])
-        assert code == 3
-        assert "error: generators are both on star 1" in capsys.readouterr().err
-
     def test_rank_mismatch_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(stars, "rank_from_euler", lambda k, n: -1)
         assert cli.main(["table", "--k-min", "3", "--k-max", "3"]) == 3

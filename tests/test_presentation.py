@@ -11,16 +11,21 @@ from treebraid.presentation import (
     Generator,
     NaturalityError,
     Presentation,
-    SameStarError,
     assemble,
-    commutation_predicate,
-    predicate_relations,
     relation_count,
     stabilize,
     to_dot,
     to_json,
 )
+import star_reference
 from dot_reference import to_dot_by_lines
+from star_reference import (
+    SameStarError,
+    commutation_predicate,
+    predicate_partners,
+    predicate_relations,
+    spans,
+)
 from test_random_trees import random_caterpillar
 
 
@@ -219,40 +224,77 @@ class TestPredicate:
             stabilize(assemble(d, n - 1), assemble(d, n))
 
 
+# (arm counts, top level): one to five hubs of 3 to 6 arms
+SHAPES = [((3,), 11), ((4,), 11), ((3, 3), 11), ((3, 3, 3), 11), ((5, 3, 4), 11),
+          ((3, 6), 11), ((6, 3, 3, 4), 11), ((4, 4, 3, 5, 3), 9)]
+
+
+class TestRangeForm:
+    """The predicate as one bisect per (generator, later star), against the
+    pairwise predicate and against assemble's partner ranges."""
+
+    def test_equals_pairwise_predicate(self):
+        # the pairwise predicate is quadratic: 2-4 hubs of 3 or 4 arms keep
+        # n <= 8 under a second, and SHAPES reach 5 and 6 arms
+        rng = random.Random(3101)
+        for _ in range(10):
+            d = tuple(rng.randint(3, 4) for _ in range(rng.randint(2, 4)))
+            for n in range(9):
+                p = assemble(d, n)
+                ranges = p._replace(partners=predicate_partners(p))
+                assert ranges.relations == predicate_relations(p, n), (d, n)
+
+    @pytest.mark.parametrize("d,top", SHAPES)
+    def test_equals_assembled_partners(self, d, top):
+        for n in range(top + 1):
+            p = assemble(d, n)
+            assert spans(predicate_partners(p)) == spans(p.partners), (d, n)
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_wrong_capacity_is_seen(self, monkeypatch, off):
+        real = star_reference.capacity
+        monkeypatch.setattr(star_reference, "capacity", lambda edge, arm: real(edge, arm) + off)
+        p = assemble((4, 4, 3, 5, 3), 6)
+        assert spans(predicate_partners(p)) != spans(p.partners)
+
+
 class TestStabilize:
     def test_htree_level2_to_3(self, htree):
         d = trees.decompose(htree)
-        step = stabilize(assemble(d, 2), assemble(d, 3))
-        assert len(step.mapping) == 2
-        for i, j in enumerate(step.mapping):
-            src, dst = step.source.generators[i], step.target.generators[j]
+        source, target = assemble(d, 2), assemble(d, 3)
+        mapping = stabilize(source, target)
+        assert len(mapping) == 2
+        for i, j in enumerate(mapping):
+            src, dst = source.generators[i], target.generators[j]
             assert dst.a[0] == src.a[0] + 1
             assert dst.a[1:] == src.a[1:]
 
     def test_tripod_level3_to_4(self, tripod):
         d = trees.decompose(tripod)
-        step = stabilize(assemble(d, 3), assemble(d, 4))
-        assert len(step.source.generators) == 3
-        assert len(step.target.generators) == 6
-        assert set(step.mapping) <= set(range(len(step.target.generators)))
+        source, target = assemble(d, 3), assemble(d, 4)
+        mapping = stabilize(source, target)
+        assert len(source.generators) == 3
+        assert len(target.generators) == 6
+        assert set(mapping) <= set(range(len(target.generators)))
 
     def test_interval_chain_is_empty(self, interval):
         d = trees.decompose(interval)
         for n in range(1, 6):
-            assert stabilize(assemble(d, n - 1), assemble(d, n)).mapping == ()
+            assert stabilize(assemble(d, n - 1), assemble(d, n)) == ()
 
     def test_full_chains(self, tripod, htree, caterpillar3, star4, interval):
         for d in decompositions(tripod, htree, caterpillar3, star4, interval):
             for n in range(1, 7):
                 # raises NaturalityError on any failure
-                step = stabilize(assemble(d, n - 1), assemble(d, n))
-                assert len(step.mapping) == len(step.source.generators)
+                source = assemble(d, n - 1)
+                assert len(stabilize(source, assemble(d, n))) == len(source.generators)
 
     def test_relation_monotonicity(self, htree, caterpillar3):
         for d in decompositions(htree, caterpillar3):
             for n in range(1, 7):
-                step = stabilize(assemble(d, n - 1), assemble(d, n))
-                assert len(step.source.relations) <= len(step.target.relations)
+                source, target = assemble(d, n - 1), assemble(d, n)
+                stabilize(source, target)
+                assert len(source.relations) <= len(target.relations)
 
     def test_rejects_non_consecutive_levels(self, htree):
         d = trees.decompose(htree)

@@ -7,6 +7,8 @@ import random
 
 from treebraid import presentation, stars, trees
 
+from star_reference import predicate_relations
+
 
 def random_caterpillar(rng):
     """A linear tree: 1..3 hubs of degree 3..5 strung along a spine."""
@@ -57,12 +59,11 @@ def test_random_caterpillars_full_pipeline():
         for n in range(5):
             pres = presentation.assemble(arm_counts, n)
             assert len(pres.generators) == sum(stars.rank(k, n) for k in arm_counts)
-            assert pres.relations == presentation.predicate_relations(pres, n)
+            assert pres.relations == predicate_relations(pres, n)
         for n in range(1, 5):
-            step = presentation.stabilize(
-                presentation.assemble(arm_counts, n - 1), presentation.assemble(arm_counts, n)
-            )
-            assert len(step.mapping) == len(step.source.generators)
+            source = presentation.assemble(arm_counts, n - 1)
+            mapping = presentation.stabilize(source, presentation.assemble(arm_counts, n))
+            assert len(mapping) == len(source.generators)
 
 
 def test_random_caterpillars_linearity_stable_under_subdivision():
