@@ -90,7 +90,9 @@ def cmd_present(args) -> int:
     tree = trees.load_tree(args.tree)
     arm_counts = trees.decompose(tree)
     ns = _strand_range(args)
-    _check_generator_cap(arm_counts, ns[-1])    # both before --out is created
+    _check_generator_cap(arm_counts, ns[-1])    # all before --out is created
+    for n in ns if args.verify else ():
+        cubes.check_limits(tree, n, args.dmax, args.subdivision, args.cell_cap)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,33 +270,25 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+# (exception types, exit code), the first match wins: a NotLinearError is a TreeError
+_EXITS = (
+    ((UsageError,), EXIT_INPUT),
+    ((trees.NotLinearError,), EXIT_NOT_LINEAR),
+    ((stars.RankMismatchError, cubes.BoundarySquareError, presentation.NaturalityError),
+     EXIT_MISMATCH),
+    ((trees.TreeError, OSError, ValueError), EXIT_INPUT),
+    ((cubes.ResourceCapError, MemoryError), EXIT_RESOURCES),
+)
+
+
 def _run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except trees.NotLinearError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_LINEAR
-    except (
-        stars.RankMismatchError,
-        cubes.BoundarySquareError,
-        presentation.NaturalityError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (trees.TreeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except cubes.ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCES
-    except MemoryError:
-        print("error: out of memory; try fewer strands", file=sys.stderr)
-        return EXIT_RESOURCES
+    except tuple(t for types, _ in _EXITS for t in types) as exc:
+        text = "out of memory; try fewer strands" if isinstance(exc, MemoryError) else exc
+        print(f"error: {text}", file=sys.stderr)
+        return next(code for types, code in _EXITS if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ is one integer, its key: vertex v sets bit v, and the i-th edge in sorted
 order sets bit V + i, for V vertices.  Each layer is in ascending key
 order, which is reproducible.
 
-``oracle_report`` is the one place the cell cap is checked, before the
+``check_limits`` is the one place the cell cap is checked, before the
 tree is cut: ``layer_sizes`` counts every layer exactly from the vertex
 degrees of the uncut tree.
 
@@ -308,23 +308,17 @@ def betti(cx: CubeComplex) -> HomologyReport:
     return HomologyReport(tuple(counts), *chain_homology(counts, boundary))
 
 
-def oracle_report(
-    tree: Tree, n: int, d_max: int = 3, parts: int | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> HomologyReport:
-    """Homology of the n-strand cube complex of tree, every edge cut into
-    max(1, n - 1) pieces unless parts asks for more (Prue-Scrimshaw), read
-    only after the boundary of every boundary is checked to be zero.
-    Refuses, before cutting, a complex whose largest cell layer, counted
-    exactly by ``layer_sizes``, holds more than cell_cap cells.
-    """
+def check_limits(tree: Tree, n: int, d_max: int = 3, parts: int | None = None,
+                 cell_cap: int = DEFAULT_CELL_CAP) -> int:
+    """The pieces per edge of the n-strand oracle on tree: max(1, n - 1)
+    unless parts asks for more (Prue-Scrimshaw).  Refuses, without cutting,
+    a parts below that and a complex whose largest cell layer, counted
+    exactly by ``layer_sizes``, holds more than cell_cap cells."""
     floor = max(1, n - 1)
     if parts is None:
         parts = floor
     if parts < floor:
-        raise ValueError(
-            f"subdivision {parts} is too coarse for n={n}; need at least {floor}"
-        )
+        raise ValueError(f"subdivision {parts} is too coarse for n={n}; need at least {floor}")
     worst = max(layer_sizes(tree, n, d_max, parts))
     if worst > cell_cap:
         # past 20 digits, the leading digits and digit count: float() and str() fail on huge ints
@@ -333,6 +327,14 @@ def oracle_report(
         shown = f"{worst // 10 ** (digits - 6)}... ({digits} digits)" if digits > 20 else worst
         raise ResourceCapError(f"largest cell layer has {shown} cells, above the cap {cell_cap}",
                                cells=worst, cap=cell_cap)
+    return parts
+
+
+def oracle_report(tree: Tree, n: int, d_max: int = 3, parts: int | None = None,
+                  cell_cap: int = DEFAULT_CELL_CAP) -> HomologyReport:
+    """Homology of the n-strand cube complex of tree, cut as ``check_limits``
+    allows, read only after every boundary of a boundary is checked to be 0."""
+    parts = check_limits(tree, n, d_max, parts, cell_cap)
     return betti(build_complex(subdivide_edges(tree, parts), n, d_max=d_max))
 
 

@@ -11,18 +11,19 @@ that arrives from its left endpoint.  What arrives on a star from its left
 endpoint is its generators with a[0] at or above a threshold: a suffix of
 its block of generators, which is sorted by (a, p).  So a ``Presentation``
 holds the defining graph as the generators, sorted by (star, a, p), and
-each generator's partners as one ``range`` per later star.  The exports,
-``stabilize`` and the counts read the ranges; ``Presentation.relations``
-lists the index pairs, for tests and tracing.
+each generator's partners as one ``range`` per later star.  The exports
+and the counts read the ranges, ``stabilize`` pulls them back to check that
+level n - 1 is the subgraph of level n induced on its arm-1 images, and
+``Presentation.relations`` lists the index pairs, for tests and tracing.
 
-``assemble`` realizes the sweep literally, by iterating strand-addition
-maps.  The closed form in terms of ``stars.capacity`` that it must agree
-with is a separate code path, kept with the tests.
+``assemble`` realizes the sweep by iterating strand-addition maps; the
+closed form in ``stars.capacity`` that it must agree with is in the tests.
 """
 from __future__ import annotations
 
-from itertools import accumulate, chain, count, groupby, repeat
-from operator import itemgetter
+from bisect import bisect_left
+from itertools import accumulate, chain, compress, count, groupby, repeat
+from operator import ge, itemgetter
 from typing import NamedTuple
 
 from .stars import add_strand, basis
@@ -116,11 +117,13 @@ def stabilize(source: Presentation, target: Presentation) -> tuple[int, ...]:
     target, at level n, both assembled from the same arm counts:
     mapping[i] is the target index of source generator i.
 
-    Every generator's edge gains one strand on arm 1.  The map is checked:
-    images must be distinct generators, and each source range must map
-    into the image generator's range on that star, checked once per
-    distinct pair of rows; a violation is an implementation bug, named by
-    the sorted stray images or the first missing relation image.
+    Each edge gains one strand on arm 1, keeping the (star, a, p) order, so
+    the images must be generators in increasing order; and source must be
+    the subgraph of target induced on them, so that the map is injective on
+    the groups (killing the other generators retracts onto it): the images'
+    rows, each distinct one pulled back once, must equal source's partners.
+    A bug is named by the stray images, the first pair out of order, or the
+    first relation missing or added.
     """
     n = target.n
     if n != source.n + 1:
@@ -129,20 +132,21 @@ def stabilize(source: Presentation, target: Presentation) -> tuple[int, ...]:
     # (star, a, p) tuples hash and compare as the Generators they name
     images = [(star, *add_strand((a, p), 1)) for star, a, p in source.generators]
     mapping = tuple(map(index.get, images))
-    if None in mapping or len(set(mapping)) != len(mapping):
+    if None in mapping:
         stray = sorted(Generator(*g) for g in images if g not in index)
         raise NaturalityError(f"generator images escape level {n}: {stray[:3]}")
-    rows = set(zip(source.partners, map(target.partners.__getitem__, mapping)))
-    if not all(
-        all(map(t.__contains__, mapping[s.start:s.stop]))
-        for row, image_row in rows for s, t in zip(row, image_row)
-    ):
-        i, j = next(
-            (i, j) for i, row in enumerate(source.partners)
-            for s, t in zip(row, target.partners[mapping[i]]) for j in s if mapping[j] not in t
-        )
+    if (i := next(compress(count(), map(ge, mapping, mapping[1:])), None)) is not None:
+        a, b = (f"{Generator(*images[k])} at index {mapping[k]}" for k in (i, i + 1))
+        raise NaturalityError(f"generator images out of order at level {n}: {a}, then {b}")
+    back = {row: tuple(range(bisect_left(mapping, t.start), bisect_left(mapping, t.stop))
+                       for t in row) for row in set(map(target.partners.__getitem__, mapping))}
+    pulled = tuple(back[target.partners[m]] for m in mapping)
+    if source.partners != pulled:
+        have = set(source.relations)
+        i, j = min(have.symmetric_difference(source._replace(partners=pulled).relations))
         pair = [target.generators[mapping[i]], target.generators[mapping[j]]]
-        raise NaturalityError(f"relation image {pair} missing at level {n}")
+        raise NaturalityError(f"relation image {pair} missing at level {n}" if (i, j) in have else
+                              f"relation {pair} at level {n} has no preimage at level {n - 1}")
     return mapping
 
 

@@ -8,7 +8,8 @@ and the basis against it.
 The commutation predicate in closed form, pair by pair and as one range
 per (generator, later star): ``presentation.assemble`` sweeps
 strand-addition maps instead, and the tests check the two against each
-other.  None of this is needed by a command."""
+other.  And a sabotage of the presentation that ``presentation.stabilize``
+must refuse.  None of this is needed by a command."""
 from bisect import bisect_left
 
 from treebraid.presentation import Generator, Presentation
@@ -86,3 +87,19 @@ def spans(partners: tuple[tuple[range, ...], ...]) -> list[list[tuple[int, int]]
     bounds, and an empty partner range must still end where its star's
     block ends."""
     return [[(r.start, r.stop) for r in row] for row in partners]
+
+
+# a relation the H-tree (arm counts (3, 3)) lacks at level 5, between the
+# images of two level-4 generators
+EXTRA_RELATION = (Generator(1, (1, 1, 3), 2), Generator(2, (3, 1, 1), 2))
+
+
+def gain_relation(pres: Presentation, g: Generator, h: Generator) -> Presentation:
+    """pres with the relation (g, h) added, for g on an earlier star than h:
+    g's range on h's star grows down by one, so h must sit just before it."""
+    i, j = map(pres.generators.index, (g, h))
+    row = list(pres.partners[i])
+    r = row[h.star - g.star - 1]
+    assert r.start == j + 1, (r, j)
+    row[h.star - g.star - 1] = range(j, r.stop)
+    return pres._replace(partners=(*pres.partners[:i], tuple(row), *pres.partners[i + 1:]))

@@ -1,8 +1,11 @@
 import gc
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from hashlib import sha256
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from treebraid import cli, cubes, presentation, stars, trees
 
 from conftest import deadline
+from star_reference import EXTRA_RELATION, gain_relation
 
 HTREE = {
     "vertices": ["p", "a", "u", "v", "b", "c"],
@@ -402,6 +406,30 @@ class TestVerify:
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (["--n", "7"], 4, "largest cell layer has 40834200 cells, above the cap 5000000"),
+        (["--n-min", "2", "--n-max", "7"], 4,
+         "largest cell layer has 40834200 cells, above the cap 5000000"),
+        (["--n", "5", "--subdivision", "2"], 1,
+         "subdivision 2 is too coarse for n=5; need at least 4"),
+        (["--n-min", "3", "--n-max", "5", "--subdivision", "2"], 1,
+         "subdivision 2 is too coarse for n=4; need at least 3"),
+    ], ids=["cap", "cap-range", "subdivision", "subdivision-range"])
+    @pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])
+    def test_present_verify_refuses_before_any_output(self, tree_file, tmp_path, capsys,
+                                                      monkeypatch, argv, code, message, to_dir):
+        # every level's oracle limits are checked before a presentation
+        # is written to --out or printed, and so before any complex is built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a complex was built")
+
+        monkeypatch.setattr(cubes, "build_complex", unbuilt)
+        out = tmp_path / "pv"
+        argv = ["present", "--tree", tree_file(HTREE), *argv, "--verify"]
+        assert cli.main([*argv, "--out", str(out)] if to_dir else argv) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_present_with_verify_flag(self, tree_file, tmp_path, capsys):
         out = tmp_path / "pv"
         code = cli.main([
@@ -744,6 +772,41 @@ class TestStabilize:
         code = cli.main(["stabilize", "--tree", tree_file(HTREE), "--n", "3"])
         assert code == 3
 
+    def test_extra_relation_exits_3(self, tree_file, monkeypatch, capsys):
+        # level 5 gains one relation between images of level-4 generators
+        real = presentation.assemble
+
+        def gaining(arm_counts, n):
+            pres = real(arm_counts, n)
+            return gain_relation(pres, *EXTRA_RELATION) if n == 5 else pres
+
+        monkeypatch.setattr(presentation, "assemble", gaining)
+        assert cli.main(["stabilize", "--tree", tree_file(HTREE), "--n", "6"]) == 3
+        out, err = capsys.readouterr()
+        assert "3 -> 4" in out and "4 -> 5" not in out
+        assert err == (f"error: relation {list(EXTRA_RELATION)} at level 5"
+                       " has no preimage at level 4\n")
+
+    def test_swapped_generators_exit_3(self, tree_file, monkeypatch, capsys):
+        # two star-1 generators of level 5 trade places in the target
+        real = presentation.assemble
+
+        def swapping(arm_counts, n):
+            pres = real(arm_counts, n)
+            if n != 5:
+                return pres
+            gens = list(pres.generators)
+            gens[4], gens[5] = gens[5], gens[4]
+            return pres._replace(generators=tuple(gens))
+
+        monkeypatch.setattr(presentation, "assemble", swapping)
+        assert cli.main(["stabilize", "--tree", tree_file(HTREE), "--n", "5"]) == 3
+        assert capsys.readouterr().err == (
+            "error: generator images out of order at level 5:"
+            " Generator(star=1, a=(1, 1, 3), p=2) at index 5,"
+            " then Generator(star=1, a=(1, 2, 2), p=2) at index 4\n"
+        )
+
 
 class TestInternalErrors:
     """Internal consistency failures exit 3 with a message, never a traceback."""
@@ -928,3 +991,25 @@ class TestReadme:
         for command in commands:
             argv = shlex.split(command)[1:]
             assert cli.build_parser().parse_args(argv).command == argv[0], command
+
+
+class TestProcessExitCodes:
+    """The exit code as a process returns it, through the ``__main__`` guard
+    of ``python -m treebraid.cli``, with the message on stderr."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["table", "--k-max", "3", "--n-max", "2"], 0),
+        (["present", "--tree", "missing.json", "--n", "2"], 1),
+        (["present", "--tree", "spider.json", "--n", "2"], 2),
+        (["stabilize", "--tree", "h.json", "--n", "99999999999"], 4),
+    ], ids=["ok", "input", "not-linear", "resources"])
+    def test_exit_code(self, tmp_path, argv, code):
+        (tmp_path / "spider.json").write_text(json.dumps(SPIDER))
+        (tmp_path / "h.json").write_text(json.dumps(HTREE))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "treebraid.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert done.stderr.startswith("error: ") == bool(code), done.stderr

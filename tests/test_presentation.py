@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from bisect import bisect_left
 from itertools import groupby
 
 import pytest
@@ -20,8 +21,10 @@ from treebraid.presentation import (
 import star_reference
 from dot_reference import to_dot_by_lines
 from star_reference import (
+    EXTRA_RELATION,
     SameStarError,
     commutation_predicate,
+    gain_relation,
     predicate_partners,
     predicate_relations,
     spans,
@@ -322,6 +325,65 @@ class TestStabilize:
         assert not dropped.relations
         with pytest.raises(NaturalityError, match="relation image .* missing at level 5"):
             stabilize(source, dropped)
+
+    def test_extra_relation_image_is_caught(self, htree):
+        # relations mapping into relations is not enough: the images must
+        # span a full subgraph, so a relation among them needs a preimage
+        d = trees.decompose(htree)
+        source, target = assemble(d, 4), assemble(d, 5)
+        g, h = EXTRA_RELATION
+        gained = gain_relation(target, g, h)
+        assert len(gained.relations) == len(target.relations) + 1
+        with pytest.raises(NaturalityError, match=r"relation \[Generator\(star=1, a=\(1, 1, 3\), p=2\),"
+                           r" Generator\(star=2, a=\(3, 1, 1\), p=2\)\] at level 5"
+                           r" has no preimage at level 4"):
+            stabilize(source, gained)
+
+    def test_swapped_images_are_caught(self, htree):
+        # two images on one star trade places: every image is still a
+        # generator, but the mapping no longer keeps the (star, a, p) order
+        d = trees.decompose(htree)
+        source, target = assemble(d, 4), assemble(d, 5)
+        gens = list(target.generators)
+        i, j = [i for i, g in enumerate(gens) if g.star == 1 and g.a[0] >= 1][:2]
+        gens[i], gens[j] = gens[j], gens[i]
+        with pytest.raises(NaturalityError, match="generator images out of order at level 5"):
+            stabilize(source, target._replace(generators=tuple(gens)))
+
+
+def sliced(top: Presentation, m: int):
+    """Level m read off level top.n: the generators with a[0] >= top.n - m,
+    with that taken off a[0], and their partner ranges renumbered to the
+    kept indices below each bound."""
+    t = top.n - m
+    keep = [i for i, g in enumerate(top.generators) if g.a[0] >= t]
+    generators = tuple(Generator(g.star, (g.a[0] - t, *g.a[1:]), g.p)
+                       for g in map(top.generators.__getitem__, keep))
+    partners = tuple(tuple(range(bisect_left(keep, r.start), bisect_left(keep, r.stop))
+                           for r in top.partners[i]) for i in keep)
+    return generators, partners
+
+
+class TestSlices:
+    """Every level is a slice of every level above it: level m is the
+    subgraph of level N induced on the generators with a[0] >= N - m, which
+    is what makes each strand-addition map injective on the groups."""
+
+    def test_random_caterpillars(self):
+        rng = random.Random(3201)
+        for _ in range(15):
+            d = trees.decompose(random_caterpillar(rng))
+            levels = [assemble(d, n) for n in range(9)]
+            for top in levels:
+                for m in range(top.n + 1):
+                    generators, partners = sliced(top, m)
+                    assert generators == levels[m].generators, (d, top.n, m)
+                    assert spans(partners) == spans(levels[m].partners), (d, top.n, m)
+
+    def test_a_slice_sees_an_extra_relation(self, htree):
+        d = trees.decompose(htree)
+        top = gain_relation(assemble(d, 5), *EXTRA_RELATION)
+        assert spans(sliced(top, 4)[1]) != spans(assemble(d, 4).partners)
 
 
 class TestExport:
