@@ -173,38 +173,37 @@ def _fields(run: tuple[Generator, ...], *lead) -> tuple:
 
 
 def _relation_texts(pres: Presentation, head: str, tail: str, sep: str) -> list[str]:
-    """Each generator g's relations (g, h) as head(g) + tail(h), joined by sep:
+    """Per generator g, one piece: each relation (g, h) as sep + head(g) + tail(h),
     every tail formatted once, every distinct row's tails listed once."""
     tails = list(map(tail.format, range(len(pres.generators))))
     listed = {row: list(chain.from_iterable(tails[r.start:r.stop] for r in row))
               for row in dict.fromkeys(pres.partners)}
-    return [(h := head.format(g)) + (sep + h).join(t)
+    return [(h := sep + head.format(g)) + h.join(t)
             for g, row in enumerate(pres.partners) if (t := listed[row])]
 
 
 def to_json(pres: Presentation) -> str:
     """Byte for byte ``json.dumps(..., indent=2) + "\n"`` of n, the generators
-    and the relations, every one an int or a list of ints: each run of
-    generators with k arms through one template built for k."""
+    and the relations, every one an int or a list of ints, in one join: each
+    run of generators with k arms through one template built for k."""
     blocks = []
     for k, _, run in _runs(pres.generators):
         a = "[\n        " + ",\n        ".join(["%s"] * k) + "\n      ]" if k else "[]"
         item = '{\n      "star": %s,\n      "a": ' + a + ',\n      "p": %s\n    }'
         blocks.append(",\n    ".join([item] * len(run)) % _fields(run))
     generators = "[\n    " + ",\n    ".join(blocks) + "\n  ]" if blocks else "[]"
-    sep = ",\n    "
-    relations = sep.join(_relation_texts(pres, "[\n      {},\n      ", "{}\n    ]", sep))
-    relations = "[\n    " + relations + "\n  ]" if relations else "[]"
-    return f'{{\n  "n": {pres.n},\n  "generators": {generators},\n  "relations": {relations}\n}}\n'
+    relations = _relation_texts(pres, "[\n      {},\n      ", "{}\n    ]", ",\n    ")
+    if relations:
+        relations[0] = relations[0][1:]     # no comma before the first
+    return "".join([f'{{\n  "n": {pres.n},\n  "generators": {generators},\n  "relations": [',
+                    *relations, "\n  ]\n}\n" if relations else "]\n}\n"])
 
 
 def to_dot(pres: Presentation) -> str:
-    """Defining graph in DOT: one vertex per generator, one edge per relation;
-    each run of generators with k arms goes through one template for k."""
+    """Defining graph in DOT, one vertex per generator and one edge per relation,
+    in one join; each run of generators with k arms through one template for k."""
     lines = [f"graph strands_{pres.n} {{"]
     for k, start, run in _runs(pres.generators):
-        line = '  g%s [label="s%s a=(' + ",".join(["%s"] * k) + ') p=%s"];'
-        lines.append("\n".join([line] * len(run)) % _fields(run, range(start, start + len(run))))
-    lines += _relation_texts(pres, "  g{} -- g", "{};", "\n")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        line = '\n  g%s [label="s%s a=(' + ",".join(["%s"] * k) + ') p=%s"];'
+        lines.append("".join([line] * len(run)) % _fields(run, range(start, start + len(run))))
+    return "".join([*lines, *_relation_texts(pres, "  g{} -- g", "{};", "\n"), "\n}\n"])

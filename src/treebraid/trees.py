@@ -189,10 +189,10 @@ def parse_tree(text: str) -> Tree:
 
     JSON: {"vertices": [...], "edges": [[u, w], ...], "endpoint": id}.
     Text: first line "endpoint p", then one edge "u w" per line; blank
-    lines and '#' comments are ignored.  Both formats yield identical
-    trees for identical ids.
+    lines and '#' comments are ignored.  Text that starts with "{" or "["
+    is read as JSON.  Both formats yield identical trees for identical ids.
     """
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return _parse_json(text)
     return _parse_adjacency(text)
 

@@ -143,6 +143,41 @@ class TestPresent:
         assert code == 1
         assert f"{field}: expected a JSON array" in capsys.readouterr().err
 
+    def test_json_array_exits_1(self, tmp_path, capsys):
+        # text that starts with "[" is JSON, and not an object
+        path = tmp_path / "arr.json"
+        path.write_text("[]")
+        assert cli.main(["present", "--tree", str(path), "--n", "2"]) == 1
+        assert capsys.readouterr() == ("", "error: top-level JSON value must be an object\n")
+
+    def test_dot_stdout_is_the_out_file(self, tree_file, caterpillar5, tmp_path, capsys):
+        tree, out = tree_file(tree_json(caterpillar5)), tmp_path / "out"
+        assert cli.main(["present", "--tree", tree, "--n", "5", "--format", "dot"]) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(["present", "--tree", tree, "--n", "5", "--format", "dot",
+                         "--out", str(out)]) == 0
+        assert printed.encode() == (out / "presentation_n5.dot").read_bytes()
+        assert printed.count(" -- ") > 100
+
+    def test_interrupted_write_leaves_nothing_under_the_final_name(
+            self, tree_file, tmp_path, capsys, monkeypatch):
+        tree, out = tree_file(HTREE), tmp_path / "out"
+
+        def fail_partway(path, text, encoding=None):
+            with open(path, "w", encoding=encoding) as f:
+                f.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", fail_partway)
+        code = cli.main(["present", "--tree", tree, "--n", "4", "--format", "dot",
+                         "--out", str(out)])
+        assert code == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("error: ") and "No space left on device" in err
+        assert not (out / "presentation_n4.json").exists()
+        assert not (out / "presentation_n4.dot").exists()
+
     @bad_ranges
     def test_bad_range_exits_1_before_printing(self, tree_file, tmp_path, capsys, argv, message):
         out_dir = tmp_path / "presentations"

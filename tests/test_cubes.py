@@ -172,6 +172,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_complex(path_tree(1), 3)
 
+    @pytest.mark.parametrize("n,d_max,message", [
+        (-1, 3, "strand count must be >= 0, got -1"),
+        (2, 4, "d_max must be 1..3, got 4"),
+    ])
+    def test_bad_strand_count_or_depth(self, htree, n, d_max, message):
+        with pytest.raises(ValueError, match=message):
+            build_complex(htree, n, d_max)
+
 
 class TestLayerSizes:
     """The closed form of ``layer_sizes`` against two matching counts that

@@ -164,6 +164,18 @@ def test_deadline_interrupts_a_loop_and_restores_the_handler():
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
+class TestFromColumns:
+    def test_zero_entries_are_dropped(self):
+        m = SparseIntMatrix.from_columns(3, [[(0, 3), (2, 0)], [(1, 0)]])
+        assert (m.nrows, m.ncols) == (3, 2)
+        assert m.rows == {0: {0: 3}}
+        assert m.cols == {0: {0}}
+
+    def test_duplicate_entry_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate entry at \(1, 0\)"):
+            SparseIntMatrix.from_columns(2, [[(1, 2), (1, -1)]])
+
+
 class TestSmithDiagonal:
     def test_known_2x2(self):
         assert smith_diagonal([[2, 4], [4, 6]]) == [2, 2]

@@ -475,6 +475,20 @@ class TestExport:
         text = to_dot(assemble(d, 5))
         assert "[label=" not in text and " -- " not in text
 
+    @pytest.mark.parametrize("export", [to_json, to_dot])
+    def test_export_peaks_near_its_text(self, export):
+        # one join over the pieces: the text and its pieces, no further
+        # joined or concatenated copy
+        p = assemble((4, 4, 3, 5, 3), 14)
+        tracemalloc.start()
+        try:
+            text = export(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 9_000_000
+        assert peak < 2.5 * len(text), peak / len(text)
+
     def test_deterministic(self, caterpillar3):
         d = trees.decompose(caterpillar3)
         assert to_json(assemble(d, 4)) == to_json(assemble(d, 4))

@@ -69,6 +69,14 @@ def test_fields_are_read_only(htree):
         assert repr(record) == before, type(record).__name__
 
 
+def test_fields_cannot_be_deleted(htree):
+    for record, fields in records(htree):
+        for field in fields:
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert all(hasattr(record, field) for field in fields), type(record).__name__
+
+
 def test_records_hash_as_their_field_tuples(htree):
     for record, fields in records(htree):
         values = tuple(getattr(record, field) for field in fields)

@@ -549,6 +549,15 @@ class TestCapacity:
         with pytest.raises(NotBasisEdgeError):
             capacity(((1, 1, 0), 1), 1)
 
+    def test_arms_other_than_1_and_2_rejected(self):
+        with pytest.raises(ValueError, match="arms 1 and 2, got arm 3"):
+            capacity(((0, 3, 1), 2), 3)
+
+    def test_empty_configuration_has_no_last_arm(self):
+        assert last_occupied_arm((0, 2, 0)) == 2
+        with pytest.raises(ValueError, match="no occupied arm"):
+            last_occupied_arm((0, 0))
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("arm", [1, 2])
     def test_matches_forward_images(self, k, arm):

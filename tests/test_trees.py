@@ -82,6 +82,16 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             parse_tree("a b\n")
 
+    def test_disconnected_with_a_cycle_rejected(self):
+        # four vertices and three edges pass the edge count; the cycle a-b-c
+        # leaves d apart
+        with pytest.raises(InvalidTreeError, match="not a tree: graph is disconnected"):
+            parse_tree("endpoint d\na b\nb c\nc a\n")
+
+    def test_only_comments_and_blanks_rejected(self):
+        with pytest.raises(ParseError, match="empty input: first line must be 'endpoint <id>'"):
+            parse_tree("# nothing here\n\n   \n# endpoint p\n")
+
     def test_integer_ids_coerced(self):
         t = parse_tree('{"vertices": [1, 2], "edges": [[1, 2]], "endpoint": 1}')
         assert t.vertices == ("1", "2")
