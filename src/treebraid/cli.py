@@ -82,8 +82,12 @@ def positive_int(text: str) -> int:
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)     # no half-written file left behind
+        raise
 
 
 def cmd_present(args) -> int:

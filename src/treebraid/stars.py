@@ -19,16 +19,19 @@ Arm vectors are enumerated in lex order by prefix extension: each vector
 of the (total, k) level is a prefix, a run of zeros and then a nonzero
 count f, followed by a vector of the level with total - f and the arms
 that remain.  Each level is built once per process and cached as a tuple
-of tuples, together with each vector's occupancy mask (bit j set when arm
-j + 1 holds a strand); ``arm_vectors``, both vertex lists, ``star_edges``,
-``basis``, ``rank`` and ``rank_from_euler`` all read that one level.
-``basis`` reads its edges straight off the level without listing the tree
-edges: the basis arms depend only on the mask, so they are worked out once
-per distinct mask and paired with the vectors by C-level iteration.
-``rank`` counts those same arms per mask and builds no edge.  Edges come
-in (a, p) order; the vertex lists, the edges and the basis all come out in
-that order, unsorted.  Type II vertices are the vectors with at most
-k - 2 empty arms.
+of tuples, together with each vector's occupancy mask in reversed bit
+order (bit i set when arm k - i holds a strand); ``arm_vectors``, both
+vertex lists, ``star_edges``, ``basis``, ``rank`` and ``rank_from_euler``
+all read that one level.  ``basis`` reads its edges straight off the level
+without listing the tree edges: the basis arms depend only on the mask and
+k, so they are worked out once per distinct (mask, k) and paired with the
+vectors by C-level iteration.  ``rank`` counts those same arms once per
+distinct mask, weighted by how many vectors carry it, and builds no edge;
+``rank_from_euler`` counts vertices and edges from a histogram of empty
+arms per vector; none of the three runs Python code per vector.  Edges
+come in (a, p) order; the vertex lists, the edges and the basis all come
+out in that order, unsorted.  Type II vertices are the vectors with at
+most k - 2 empty arms.
 
 Each non-base vertex has a canonical *successor* edge; the successor edges
 form a spanning tree of the complex, and the edges outside it are a free
@@ -38,10 +41,10 @@ which is what makes the glued presentations of whole trees stable in n.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import comb
-from operator import methodcaller
 
 
 class BaseVertexError(ValueError):
@@ -59,15 +62,16 @@ class RankMismatchError(RuntimeError):
 @lru_cache(maxsize=None)
 def _level(total: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The level of length-k vectors of nonnegative ints summing to total,
-    in lex order, by prefix extension, with each vector's occupancy mask:
-    bit j of ``masks[i]`` is set exactly when ``vectors[i][j] >= 1``.
+    in lex order, by prefix extension, with each vector's occupancy mask in
+    reversed bit order: bit i of ``masks[j]`` is set exactly when
+    ``vectors[j][k - 1 - i] >= 1``, that is when arm k - i holds a strand.
 
     A prefix is a run of zeros and then the first nonzero count f; more
     zeros come first, then smaller f, and each prefix extends every vector
     of the (total - f, k - 1 - zeros) level, one C-level tuple
-    concatenation per vector.  The prefix's mask is the single bit
-    ``zeros``, so the extended masks are the sub-level's masks shifted up
-    past the prefix with that bit set, again one C-level call each.  Only
+    concatenation per vector.  The sub-level's arms are this level's last
+    arms, so in reversed order its masks keep their bits, and the prefix
+    adds the single bit k - 1 - zeros: one C-level ``or`` per vector.  Only
     levels of a smaller total are read, so a wide star (k much larger than
     total) keeps no level of its own total with fewer arms, and the
     recursion is at most total deep."""
@@ -80,15 +84,14 @@ def _level(total: int, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
         for zeros in range(k - 2, -1, -1) for first in range(1, total + 1)
     ]
     # the first vector has its whole total on the last arm, so its mask is
-    # that arm's bit, or no bit when the total is 0
+    # that arm's bit 0, or no bit when the total is 0
     vectors = chain(
         [(0,) * (k - 1) + (total,)],
         *(map(((0,) * zeros + (first,)).__add__, sub) for zeros, first, sub, _ in blocks),
     )
     masks = chain(
-        [1 << (k - 1) if total else 0],
-        *(map((1 << zeros).__or__, map((zeros + 1).__rlshift__, sub))
-          for zeros, _, _, sub in blocks),
+        [1 if total else 0],
+        *(map((1 << (k - 1 - zeros)).__or__, sub) for zeros, _, _, sub in blocks),
     )
     return tuple(vectors), tuple(masks)
 
@@ -155,12 +158,14 @@ def is_tree_edge(edge: tuple[tuple[int, ...], int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _basis_arms(mask: int) -> tuple[int, ...]:
-    """The 1-based occupied arms of occupancy ``mask`` strictly between
-    arm 1 and the last occupied arm.  Cached: a level of a k-arm star has
-    at most 2**k distinct masks, so this runs once per pattern, not once
-    per vector."""
-    return tuple(p for p in range(2, mask.bit_length()) if mask >> (p - 1) & 1)
+def _basis_arms(mask: int, k: int) -> tuple[int, ...]:
+    """The 1-based occupied arms of the k-arm occupancy ``mask`` (reversed
+    bit order, see ``_level``) strictly between arm 1 and the last occupied
+    arm, k minus the lowest set bit.  Cached per (mask, k): a level of a
+    k-arm star has at most 2**k distinct masks, so this runs once per
+    pattern, not once per vector."""
+    last = k - (mask & -mask).bit_length() + 1
+    return tuple(p for p in range(2, last) if mask >> (k - p) & 1)
 
 
 def _check_star(k: int, n: int) -> None:
@@ -178,8 +183,8 @@ def basis(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     the last occupied arm, so the basis is, in closed form, the edges (a, p)
     with a[p-1] >= 1 and 1 < p < last occupied arm.  It is read straight off
     the (n, k) level: each vector a pairs with ``_basis_arms`` of its
-    occupancy mask, in a pipeline of ``map``, ``zip`` and ``chain`` with no
-    Python-level step per vector or per edge.  A vector with fewer than two
+    occupancy mask and k, in a pipeline of ``map``, ``zip`` and ``chain``
+    with no Python-level step per vector or per edge.  A vector with fewer than two
     occupied arms, which is no Type II vertex, has no arm between arm 1 and
     its last occupied arm, so it adds nothing and needs no filter.
 
@@ -188,7 +193,8 @@ def basis(k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """
     _check_star(k, n)
     vectors, masks = _level(n, k)
-    return tuple(chain.from_iterable(map(zip, map(repeat, vectors), map(_basis_arms, masks))))
+    arms = map(_basis_arms, masks, repeat(k))
+    return tuple(chain.from_iterable(map(zip, map(repeat, vectors), arms)))
 
 
 def rank_closed_form(k: int, n: int) -> int:
@@ -208,21 +214,28 @@ def rank_from_euler(k: int, n: int) -> int:
     Vertices and edges are counted on the same cached arm-vector levels
     that the basis enumerates: the Type I vertices are the (n - 1, k)
     level, and each vector of the (n, k) level with at most k - 2 empty
-    arms is a Type II vertex with one edge per occupied arm.  No spanning
-    tree is involved, so this agrees with the basis size only if the rule
-    in ``_basis_arms`` leaves out exactly one edge per non-base vertex.
+    arms is a Type II vertex with one edge per occupied arm.  Both counts
+    come from one histogram of the number of empty arms per vector, built
+    by C-level iteration, so the Python work is per histogram bar (at most
+    k), not per vector.  No spanning tree is involved, so this agrees with
+    the basis size only if the rule in ``_basis_arms`` leaves out exactly
+    one edge per non-base vertex.
 
-    The occupied arms are counted from the zeros of the vectors, not from
-    the level's occupancy masks, which only the basis and its count in
+    The empty arms are counted from the zeros of the vectors, not from the
+    level's occupancy masks, which only the basis and its count in
     ``rank`` read: a mask that disagrees with its vector then changes the
     basis size but not this count, and ``rank`` reports the mismatch.
     """
     if n == 0:
         return 0
     type1 = len(_vectors(n - 1, k))
-    occupied = (k - empty for empty in map(methodcaller("count", 0), _vectors(n, k)))
-    type2 = [arms for arms in occupied if arms >= 2]     # occupied arms = edges
-    return 1 - (type1 + len(type2) - sum(type2))
+    empties = Counter(map(tuple.count, _vectors(n, k), repeat(0)))
+    type2 = edges = 0
+    for empty, count in empties.items():
+        if empty <= k - 2:
+            type2 += count
+            edges += (k - empty) * count     # occupied arms = edges
+    return 1 - (type1 + type2 - edges)
 
 
 def rank(k: int, n: int) -> int:
@@ -235,11 +248,14 @@ def rank(k: int, n: int) -> int:
 
     The basis size is counted off the (n, k) level without building an
     edge: ``basis`` pairs each vector with the ``_basis_arms`` of its mask,
-    so its length is the sum of those arm counts.  A wrong mask or a vector
-    missing from the level changes this count as it changes the basis.
+    so its length is the sum of those arm counts, taken once per distinct
+    mask times the number of vectors that carry it.  A wrong mask or a
+    vector missing from the level changes this count as it changes the
+    basis.
     """
     _check_star(k, n)
-    enumerated = sum(map(len, map(_basis_arms, _level(n, k)[1])))
+    masks = Counter(_level(n, k)[1])
+    enumerated = sum(len(_basis_arms(mask, k)) * count for mask, count in masks.items())
     euler = rank_from_euler(k, n)
     closed = rank_closed_form(k, n)
     if not (enumerated == euler == closed):

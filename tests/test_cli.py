@@ -177,6 +177,7 @@ class TestPresent:
         assert err.startswith("error: ") and "No space left on device" in err
         assert not (out / "presentation_n4.json").exists()
         assert not (out / "presentation_n4.dot").exists()
+        assert not (out / "presentation_n4.json.tmp").exists()
 
     @bad_ranges
     def test_bad_range_exits_1_before_printing(self, tree_file, tmp_path, capsys, argv, message):
@@ -729,7 +730,8 @@ class TestTable:
         # test runs alone).  Measured on CPython 3.11: while each level's
         # basis pairs were built and dropped again, up to 33,606 of them,
         # the peak was 2.1 MB above that, 6.5 MB (7.3 MB alone); counted
-        # off the masks, it is 0.1 MB above, 4.4 MB (5.2 MB alone).
+        # off the masks with one Counter per level, it is 0.02 MB above
+        # (5.3 MB alone).
         for cache in (stars._level, stars._basis_arms, stars.basis):
             cache.cache_clear()
             request.addfinalizer(cache.cache_clear)

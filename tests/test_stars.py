@@ -79,7 +79,8 @@ class TestEnumeration:
             vectors, masks = stars._level(total, k)
             assert len(masks) == len(vectors)
             for a, mask in zip(vectors, masks):
-                assert mask == sum(1 << j for j, count in enumerate(a) if count >= 1), a
+                # reversed bit order: bit k - p is arm p's
+                assert mask == sum(1 << (k - p) for p, count in enumerate(a, 1) if count >= 1), a
 
     @pytest.mark.parametrize("vertices", [type1_vertices, type2_vertices])
     def test_vertex_lists_are_fresh(self, vertices):
@@ -376,15 +377,38 @@ class TestRank:
         assert misses[1] > misses[0] and misses[2] == misses[1]
         assert basis.cache_info().misses == 0
 
+    def test_no_python_call_per_vector(self):
+        # with its levels warm, rank(8, 9) runs Python code once per distinct
+        # occupancy mask and once per histogram bar, not once per vector: the
+        # enumerated count and the Euler count both pass over the level in C
+        vectors, _ = stars._level(9, 8)
+        stars._level(8, 8)
+        assert len(vectors) == 11440
+        stars._basis_arms.cache_clear()
+        events = Counter()
+
+        def count(frame, event, arg):
+            events[event] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            got = rank(8, 9)
+        finally:
+            sys.setprofile(previous)
+        assert got == rank_closed_form(8, 9)
+        assert events["call"] + events["c_call"] < len(vectors)
+
     def test_euler_witness_catches_a_wrong_spanning_tree(self, monkeypatch):
         # a tree without the last-occupied-arm successors leaves one more
         # basis edge per Type II vertex, 12 at k=3, n=4; the Euler count
         # never asks which edges are tree edges
         real = stars._basis_arms
 
-        def keep_last(mask):
+        def keep_last(mask, k):
             two_or_more = mask & (mask - 1)
-            return real(mask) + (mask.bit_length(),) if two_or_more else ()
+            last = k - (mask & -mask).bit_length() + 1
+            return real(mask, k) + (last,) if two_or_more else ()
 
         monkeypatch.setattr(stars, "_basis_arms", keep_last)
         assert rank_from_euler(3, 4) == rank_closed_form(3, 4) == 6
@@ -449,7 +473,7 @@ class TestRank:
         # (p=2); the Euler count reads the vectors, not the masks, and the
         # closed form reads neither
         def corrupt(vectors, masks):
-            wrong = 0b100
+            wrong = 0b001       # arm 3 only, bit k - 3 with k = 3
             return vectors, tuple(
                 wrong if v == (0, 1, 3) else m for v, m in zip(vectors, masks)
             )
