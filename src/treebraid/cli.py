@@ -7,18 +7,23 @@ Subcommands:
 * table     -- rank table for single stars over ranges of k and n
 * stabilize -- check the strand-addition embedding chain 0 -> 1 -> ... -> n
 
+An option may be shortened to any prefix that names it alone, and
+"treebraid COMMAND -h" prints the options of COMMAND.
+
 Exit codes: 0 success, 1 I/O or parse problems (also bad usage), 2 tree not
 linear from the marked endpoint, 3 verification, embedding or internal
 consistency failure, 4 resource cap refusal or out of memory.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
+import re
 import sys
+from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import cubes, presentation, stars, trees
 
@@ -31,21 +36,6 @@ EXIT_RESOURCES = 4
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; keep 2 reserved for non-linear trees
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
-
-
-def _add_tree_and_range(sub):
-    sub.add_argument("--tree", required=True, help="tree file (JSON or adjacency text)")
-    group = sub.add_argument_group("strand count")
-    group.add_argument("--n", type=int, help="single strand count")
-    group.add_argument("--n-min", type=int, help="range start (with --n-max)")
-    group.add_argument("--n-max", type=int, help="range end, inclusive")
 
 
 def _strand_range(args) -> range:
@@ -76,7 +66,7 @@ def _check_generator_cap(arm_counts: tuple[int, ...], n: int) -> None:
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise UsageError(f"must be >= 1, got {value}")
     return value
 
 
@@ -172,6 +162,12 @@ def cmd_table(args) -> int:
         raise ValueError("need 2 <= --k-min <= --k-max")
     if not 0 <= args.n_min <= args.n_max:
         raise ValueError("need 0 <= --n-min <= --n-max")
+    # the largest level, (k_max, n_max), has C(n_max + k_max - 1, j) arm vectors for
+    # j = min(n_max, k_max - 1); past j = 23, C(., 23) >= 2**23 is over the cap on its own
+    cap, j = cubes.DEFAULT_CELL_CAP, min(args.n_max, args.k_max - 1)
+    if (vectors := comb(args.n_max + args.k_max - 1, min(j, cap.bit_length()))) > cap:
+        raise cubes.ResourceCapError(f"level k={args.k_max}, n={args.n_max} has more arm vectors"
+                                     f" than the cap {cap}", cells=vectors, cap=cap)
     ks = list(range(args.k_min, args.k_max + 1))
     ns = list(range(args.n_min, args.n_max + 1))
     # every rank first, so a failure inside stars.rank prints no partial
@@ -216,45 +212,122 @@ def cmd_stabilize(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="treebraid", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's function and options, {option: (converter, default)}; a
+# converter is a function of the text, a tuple of choices, or bool for a flag
+_REQUIRED = object()    # the default of an option that must be given
+_TREE_AND_RANGE = {"--tree": (str, _REQUIRED), "--n": (int, None), "--n-min": (int, None),
+                   "--n-max": (int, None)}
+_ORACLE = {"--dmax": ((2, 3), 3), "--subdivision": (positive_int, None),
+           "--cell-cap": (positive_int, cubes.DEFAULT_CELL_CAP)}
+COMMANDS = {
+    "present": (cmd_present, {**_TREE_AND_RANGE, "--format": (("json", "dot"), "json"),
+                              "--out": (str, None), "--verify": (bool, False), **_ORACLE}),
+    "verify": (cmd_verify, {**_TREE_AND_RANGE, **_ORACLE, "--out": (str, None)}),
+    "table": (cmd_table, {"--k-min": (int, 2), "--k-max": (int, 5), "--n-min": (int, 0),
+                          "--n-max": (int, 6)}),
+    "stabilize": (cmd_stabilize, {"--tree": (str, _REQUIRED), "--n": (int, _REQUIRED)}),
+}
 
-    def add_oracle_flags(sp):
-        sp.add_argument("--dmax", type=int, choices=(2, 3), default=3)
-        sp.add_argument("--subdivision", type=positive_int, default=None,
-                        help="pieces per edge (default and minimum max(1, n-1),"
-                             " enough on a tree by Prue-Scrimshaw)")
-        sp.add_argument("--cell-cap", type=positive_int, default=cubes.DEFAULT_CELL_CAP)
 
-    p = sub.add_parser("present", help="write commutator presentations")
-    _add_tree_and_range(p)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--out", help="output directory (default: print to stdout)")
-    p.add_argument("--verify", action="store_true",
-                   help="also run the homology cross-check on each n")
-    add_oracle_flags(p)
-    p.set_defaults(func=cmd_present)
+def _usage(command=None) -> str:
+    if command is None:
+        return f"usage: treebraid [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"usage: treebraid {command} [-h]"]
+    for option, (convert, default) in COMMANDS[command][1].items():
+        if convert is not bool:
+            option += " " + ("{%s}" % ",".join(map(str, convert)) if isinstance(convert, tuple)
+                             else option[2:].upper().replace("-", "_"))
+        words.append(option if default is _REQUIRED else f"[{option}]")
+    return " ".join(words)
 
-    p = sub.add_parser("verify", help="cross-check against cube-complex homology")
-    _add_tree_and_range(p)
-    add_oracle_flags(p)
-    p.add_argument("--out", help="directory for per-n JSON reports")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("table", help="star rank table")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--n-min", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=6)
-    p.set_defaults(func=cmd_table)
+def _print_help(args) -> int:
+    print(_usage(args.command) + ("" if args.command else "\n\n" + __doc__.rstrip()))
+    return EXIT_OK
 
-    p = sub.add_parser("stabilize", help="check the strand-addition chain")
-    p.add_argument("--tree", required=True, help="tree file (JSON or adjacency text)")
-    p.add_argument("--n", type=int, required=True, help="top strand count, chain 0 -> ... -> n")
-    p.set_defaults(func=cmd_stabilize)
 
-    return parser
+def _fail(command, message: str):
+    print(_usage(command), file=sys.stderr)
+    raise UsageError(message)
+
+
+def _match(arg: str, command) -> tuple | None:
+    """How argparse reads arg among command's options, or the top level's:
+    None for a value, (option, text after "=" or None) for an option or a
+    unique prefix of one, and (None, None) for an unknown option."""
+    names = ("-h", "--help", *(COMMANDS[command][1] if command else ()))
+    if arg[:1] != "-" or arg == "-":
+        return None
+    head, eq, tail = arg.partition("=")
+    if arg in names or eq and head in names:
+        return (arg, None) if arg in names else (head, tail)
+    found = ([(name, tail if eq else None) for name in names if name.startswith(head)]
+             if arg[1] == "-" else [(name, arg[2:]) for name in names if name == arg[:2]])
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {arg} could match {', '.join(n for n, _ in found)}")
+    if found:
+        return found[0]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def _value(convert, text):
+    """The value of an option, from its text or None; a UsageError says why not."""
+    if convert is bool:
+        if text is not None:
+            raise UsageError(f"ignored explicit argument {text!r}")
+        return True
+    if text is None:
+        raise UsageError("expected one argument")
+    choices = convert if isinstance(convert, tuple) else ()
+    convert = type(choices[0]) if choices else convert
+    try:
+        value = convert(text)
+    except ValueError:
+        raise UsageError(f"invalid {convert.__name__} value: {text!r}") from None
+    if choices and value not in choices:
+        raise UsageError(f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
+    return value
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The namespace the cmd_* functions read, parsed from argv (default
+    sys.argv[1:]) against COMMANDS as argparse read it: a unique prefix
+    stands for its option, --option=value for --option value, the last of a
+    repeated option wins, and -h or --help before any error asks for help.
+    A usage error prints the usage to stderr and raises UsageError."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command, options, values, extras = None, {}, {}, []
+    matches = [_match(arg, None) for arg in argv]
+    i = 0
+    while i < len(argv):
+        arg, match, i = argv[i], matches[i], i + 1
+        if match is None and command is None:
+            if arg not in COMMANDS:
+                _fail(None, f"argument command: invalid choice: {arg!r}"
+                            f" (choose from {', '.join(map(repr, COMMANDS))})")
+            command, (func, options) = arg, COMMANDS[arg]
+            values = {option: default for option, (_, default) in options.items()}
+            matches[i:] = [_match(later, command) for later in argv[i:]]
+        elif match is None or match[0] is None:
+            extras.append(arg)      # reported once the command has parsed
+        else:
+            option, text = match
+            if option not in options and text is None:      # -h or --help
+                return SimpleNamespace(command=command, func=_print_help)
+            convert = options.get(option, (bool,))[0]
+            if convert is not bool and text is None and i < len(argv) and matches[i] is None:
+                text, i = argv[i], i + 1
+            try:
+                values[option] = _value(convert, text)
+            except UsageError as exc:
+                _fail(command, f"argument {option if option in options else '-h/--help'}: {exc}")
+    missing = ["command"] if command is None else [o for o, v in values.items() if v is _REQUIRED]
+    if missing:
+        _fail(command, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, func=func,
+                           **{option[2:].replace("-", "_"): v for option, v in values.items()})
 
 
 def main(argv=None) -> int:
@@ -287,7 +360,7 @@ _EXITS = (
 
 def _run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except tuple(t for types, _ in _EXITS for t in types) as exc:
         text = "out of memory; try fewer strands" if isinstance(exc, MemoryError) else exc

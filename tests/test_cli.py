@@ -3,17 +3,18 @@ import json
 import os
 import random
 import re
-import shlex
 import subprocess
 import sys
 import tracemalloc
 from hashlib import sha256
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from treebraid import cli, cubes, presentation, stars, trees
 
+from cli_reference import readme_commands
 from conftest import deadline
 from star_reference import EXTRA_RELATION, gain_relation
 
@@ -758,6 +759,30 @@ class TestTable:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("k,n", [(20, 20), (3, 3161), (25, 25), (10 ** 30, 10 ** 30)])
+    def test_grid_over_the_cap_exits_4_before_any_level(self, capsys, monkeypatch, k, n):
+        # the (20, 20) level alone holds C(39, 19) = 68,923,264,410 arm vectors
+        def refuse(*args):
+            raise AssertionError("a level was enumerated")
+
+        monkeypatch.setattr(stars, "_level", refuse)
+        with deadline(1):
+            code = cli.main(["table", "--k-max", str(k), "--n-max", str(n)])
+        assert code == 4
+        assert capsys.readouterr() == (
+            "", f"error: level k={k}, n={n} has more arm vectors than the cap 5000000\n"
+        )
+
+    def test_cap_is_the_largest_level_counted_exactly(self, capsys, monkeypatch):
+        # refused exactly when C(n + k - 1, k - 1) passes the cap, also where
+        # only its first 23 factors are counted; each grid is its own last level
+        monkeypatch.setattr(stars, "rank", lambda k, n: 0)
+        for k, n in [*((k, n) for k in range(2, 41) for n in range(41)), (3, 3160), (3, 3161)]:
+            argv = ["--k-min", str(k), "--k-max", str(k), "--n-min", str(n), "--n-max", str(n)]
+            expected = 4 if comb(n + k - 1, k - 1) > cubes.DEFAULT_CELL_CAP else 0
+            assert cli.main(["table", *argv]) == expected, (k, n)
+        capsys.readouterr()
+
     @pytest.mark.parametrize("error,code", [
         (MemoryError, 4),
         (stars.RankMismatchError("rank disagreement"), 3),
@@ -939,13 +964,13 @@ class TestCollectorState:
         if patch is not None:
             monkeypatch.setattr(*patch)
         inside = []
-        real_build_parser = cli.build_parser
+        real_parse_args = cli.parse_args
 
-        def spy():
+        def spy(argv):
             inside.append(gc.isenabled())
-            return real_build_parser()
+            return real_parse_args(argv)
 
-        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr(cli, "parse_args", spy)
         was_enabled = gc.isenabled()
         (gc.enable if enabled else gc.disable)()
         try:
@@ -1019,15 +1044,10 @@ class TestInputFuzz:
 
 class TestReadme:
     def test_every_readme_command_parses(self):
-        # the command-line block and every inline `treebraid ...` span
-        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-        commands = [line for line in block.splitlines() if line.startswith("treebraid ")]
-        commands += re.findall(r"`(treebraid\s[^`]+)`", text)
+        commands = readme_commands()
         assert len(commands) >= 5, commands
-        for command in commands:
-            argv = shlex.split(command)[1:]
-            assert cli.build_parser().parse_args(argv).command == argv[0], command
+        for argv in commands:
+            assert cli.parse_args(argv).command == argv[0], argv
 
 
 class TestProcessExitCodes:
@@ -1039,7 +1059,8 @@ class TestProcessExitCodes:
         (["present", "--tree", "missing.json", "--n", "2"], 1),
         (["present", "--tree", "spider.json", "--n", "2"], 2),
         (["stabilize", "--tree", "h.json", "--n", "99999999999"], 4),
-    ], ids=["ok", "input", "not-linear", "resources"])
+        (["--help"], 0),
+    ], ids=["ok", "input", "not-linear", "resources", "help"])
     def test_exit_code(self, tmp_path, argv, code):
         (tmp_path / "spider.json").write_text(json.dumps(SPIDER))
         (tmp_path / "h.json").write_text(json.dumps(HTREE))

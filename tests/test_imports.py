@@ -3,7 +3,9 @@ touches the interpreter's cyclic collector, and the cube oracle (``cubes``
 and ``homology``) never reaches the star construction it is meant to check,
 directly or through another module.  Starting the CLI loads none of the
 standard modules that compile or inspect code (``dataclasses`` and what it
-pulls in): every command would pay for them before computing anything."""
+pulls in), and running a command loads no argument-parser machinery
+(``argparse``, ``gettext``, ``locale``): every command would pay for them
+before computing anything."""
 import ast
 import os
 import subprocess
@@ -75,6 +77,16 @@ def test_cli_start_up_compiles_nothing():
     loaded = new_modules("import treebraid.cli")
     assert "treebraid.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(loaded)
+
+
+def test_a_command_loads_no_parser_machinery():
+    # argparse translated its help strings through gettext, which imports
+    # locale: about 2 ms of every command before it computed anything
+    loaded = new_modules(
+        'import treebraid.cli; treebraid.cli.main(["table", "--k-max", "3", "--n-max", "2"])'
+    )
+    assert "treebraid.stars" in loaded
+    assert not loaded & {"argparse", "gettext", "locale"}, sorted(loaded)
 
 
 def package_imports(name):
