@@ -12,7 +12,8 @@ An option may be shortened to any prefix that names it alone, and
 
 Exit codes: 0 success, 1 I/O or parse problems (also bad usage), 2 tree not
 linear from the marked endpoint, 3 verification, embedding or internal
-consistency failure, 4 resource cap refusal or out of memory.
+consistency failure, 4 resource cap refusal or out of memory.  Every
+command makes all of its refusals before it prints or writes anything.
 """
 from __future__ import annotations
 
@@ -80,17 +81,31 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _check_then_make_out(args, tree, ns) -> Path | None:
+    """The --out directory, made after every refusal and before any output:
+    first the oracle's subdivision floor and cell cap at each level of ns on
+    tree, up to the first level refused, then the nearest existing path on
+    the way to --out, which must be a directory."""
+    for n in ns:
+        cubes.check_limits(tree, n, args.dmax, args.subdivision, args.cell_cap)
+    if not args.out:
+        return None
+    out_dir = Path(args.out)
+    target = Path(os.path.abspath(out_dir))
+    existing = next(p for p in (target, *target.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def cmd_present(args) -> int:
     tree = trees.load_tree(args.tree)
     arm_counts = trees.decompose(tree)
     ns = _strand_range(args)
-    _check_generator_cap(arm_counts, ns[-1])    # all before --out is created
-    for n in ns if args.verify else ():
-        cubes.check_limits(tree, n, args.dmax, args.subdivision, args.cell_cap)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    counts = {}
+    _check_generator_cap(arm_counts, ns[-1])
+    out_dir = _check_then_make_out(args, tree, ns if args.verify else ())
+    counts = []
     for n in ns:
         pres = presentation.assemble(arm_counts, n)
         if out_dir:
@@ -102,42 +117,28 @@ def cmd_present(args) -> int:
         else:
             sys.stdout.write(presentation.to_json(pres))
         if args.verify:
-            counts[n] = cubes.raag_clique_counts(pres)
-    return _check_levels(tree, ns, counts.__getitem__, args) if args.verify else EXIT_OK
+            counts.append(cubes.raag_clique_counts(pres))
+    return _check_levels(tree, ns, counts, out_dir, args) if args.verify else EXIT_OK
 
 
 def cmd_verify(args) -> int:
     tree = trees.load_tree(args.tree)
     arm_counts = trees.decompose(tree)
-    ns = _strand_range(args)    # before _check_levels prints or makes anything
-
-    def clique_counts(n):
-        return cubes.raag_clique_counts(presentation.assemble(arm_counts, n))
-
-    return _check_levels(tree, ns, clique_counts, args)
+    ns = _strand_range(args)
+    out_dir = _check_then_make_out(args, tree, ns)
+    counts = [cubes.raag_clique_counts(presentation.assemble(arm_counts, n)) for n in ns]
+    return _check_levels(tree, ns, counts, out_dir, args)
 
 
-def _check_levels(tree, ns, clique_counts, args) -> int:
-    """Oracle verdict for each level n against clique_counts(n).  The
-    counts come from the tree's arm counts in trunk order alone; the oracle
-    builds its complex on the input tree itself.  Each level's oracle report,
-    cell cap included, comes before its counts and, at the first level, the
-    header, so a level over the cap is refused before any of them."""
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        # refused before the oracle runs: the nearest existing path on the
-        # way to --out must be a directory
-        target = Path(os.path.abspath(out_dir))
-        existing = next(p for p in (target, *target.parents) if os.path.lexists(p))
-        if not existing.is_dir():
-            raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
-    header = f"{'n':>3} {'gens':>6} {'rels':>6} {'tris':>6} {'b1':>6} {'b2':>6} {'b3':>4} {'status':>8}"
+def _check_levels(tree, ns, counts, out_dir, args) -> int:
+    """The header, then the oracle's verdict for each level n of ns against
+    its clique counts, aligned with ns, with a report in out_dir when given.
+    The counts come from the tree's arm counts in trunk order alone; the
+    oracle builds its complex on the input tree itself."""
+    print(f"{'n':>3} {'gens':>6} {'rels':>6} {'tris':>6} {'b1':>6} {'b2':>6} {'b3':>4} {'status':>8}")
     failed = False
-    for n in ns:
+    for n, expect in zip(ns, counts):
         report = cubes.oracle_report(tree, n, args.dmax, args.subdivision, args.cell_cap)
-        if n == ns[0]:
-            print(header)
-        expect = clique_counts(n)
         betti = report.betti
         torsion = [list(t) for t in report.torsion]
         # b_d against the d-clique count, in every degree the oracle reached
@@ -147,8 +148,6 @@ def _check_levels(tree, ns, clique_counts, args) -> int:
         print(f"{n:>3} {expect[0]:>6} {expect[1]:>6} {expect[2]:>6} "
               f"{b1:>6} {b2:>6} {b3:>4} {status:>8}")
         if out_dir:
-            # made here, so a level refused before its report leaves no empty directory
-            out_dir.mkdir(parents=True, exist_ok=True)
             payload = {"n": n, "generators": expect[0], "relations": expect[1],
                        "triangles": expect[2], "betti": list(betti), "torsion": torsion,
                        "status": status}

@@ -19,7 +19,7 @@ order, which is reproducible.
 
 ``check_limits`` is the one place the cell cap is checked, before the
 tree is cut: ``layer_sizes`` counts every layer exactly from the vertex
-degrees of the uncut tree.
+degrees of the uncut tree, unless a cheap lower bound refuses first.
 
 ``betti`` is one pass from the top dimension down.  Each boundary_d is
 built once, as flat face rows found by key arithmetic; it is
@@ -37,6 +37,9 @@ from .homology import SparseIntMatrix, chain_homology
 from .trees import Tree, subdivide_edges
 
 DEFAULT_CELL_CAP = 5_000_000
+# the largest smaller side min(k, N - k) of a binomial C(N, k) that check_limits
+# computes exactly; past it, the exact count runs for seconds
+_EXACT_SIDE = 4096
 
 
 class ResourceCapError(RuntimeError):
@@ -312,21 +315,28 @@ def check_limits(tree: Tree, n: int, d_max: int = 3, parts: int | None = None,
                  cell_cap: int = DEFAULT_CELL_CAP) -> int:
     """The pieces per edge of the n-strand oracle on tree: max(1, n - 1)
     unless parts asks for more (Prue-Scrimshaw).  Refuses, without cutting,
-    a parts below that and a complex whose largest cell layer, counted
-    exactly by ``layer_sizes``, holds more than cell_cap cells."""
+    a parts below that and a complex whose largest cell layer holds more
+    than cell_cap cells: counted exactly by ``layer_sizes``, or, where that
+    would take seconds, bounded below when the bound is over the cap."""
     floor = max(1, n - 1)
     if parts is None:
         parts = floor
     if parts < floor:
         raise ValueError(f"subdivision {parts} is too coarse for n={n}; need at least {floor}")
-    worst = max(layer_sizes(tree, n, d_max, parts))
+    # the 0-cells alone are C(V, n) for the cut tree's V vertices, and C(V, n) >= C(V, j)
+    # for j <= min(n, V - n); every other binomial of layer_sizes has a smaller side below it
+    nv = len(tree.vertices) + (parts - 1) * len(tree.edges)
+    if min(n, nv - n) > _EXACT_SIDE and (least := comb(nv, _EXACT_SIDE)) > cell_cap:
+        worst, bound = least, "at least "
+    else:
+        worst, bound = max(layer_sizes(tree, n, d_max, parts)), ""
     if worst > cell_cap:
         # past 20 digits, the leading digits and digit count: float() and str() fail on huge ints
         digits = int(log10(worst)) + 1
         digits += (worst >= 10 ** digits) - (worst < 10 ** (digits - 1))
         shown = f"{worst // 10 ** (digits - 6)}... ({digits} digits)" if digits > 20 else worst
-        raise ResourceCapError(f"largest cell layer has {shown} cells, above the cap {cell_cap}",
-                               cells=worst, cap=cell_cap)
+        raise ResourceCapError(f"largest cell layer has {bound}{shown} cells, above the cap"
+                               f" {cell_cap}", cells=worst, cap=cell_cap)
     return parts
 
 

@@ -296,13 +296,35 @@ class TestVerify:
             "", "error: largest cell layer has 40834200 cells, above the cap 5000000\n"
         )
 
-    def test_header_comes_before_the_first_row(self, tree_file, capsys):
-        # a later level over the cap keeps the header and the rows before it
-        argv = ["--n-min", "2", "--n-max", "4", "--cell-cap", "1000"]
-        assert cli.main(["verify", "--tree", tree_file(HTREE), *argv]) == 4
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].split() == ["n", "gens", "rels", "tris", "b1", "b2", "b3", "status"]
-        assert [line.split()[0] for line in out[1:]] == ["2", "3"]
+    def test_a_later_level_over_the_cap_is_refused_before_any_output(
+            self, tree_file, tmp_path, capsys, monkeypatch):
+        # every level's cap is checked before a complex is built, a
+        # presentation assembled, the header printed or --out made: n=7's
+        # layer is refused from its count, and n=2..6 are never run
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before every level was checked")
+
+        monkeypatch.setattr(cubes, "build_complex", refuse)
+        monkeypatch.setattr(presentation, "assemble", refuse)
+        out = tmp_path / "out"
+        with deadline(1):
+            code = cli.main(["verify", "--tree", tree_file(HTREE), "--n-min", "2",
+                             "--n-max", "7", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr() == (
+            "", "error: largest cell layer has 40834200 cells, above the cap 5000000\n"
+        )
+        assert not out.exists()
+
+    def test_a_later_level_cut_too_coarsely_is_refused_before_any_output(
+            self, tree_file, capsys):
+        # --subdivision 2 is the floor at n=3 and too coarse from n=4 on
+        code = cli.main(["verify", "--tree", tree_file(HTREE), "--n-min", "3", "--n-max", "5",
+                         "--subdivision", "2"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: subdivision 2 is too coarse for n=4; need at least 3\n"
+        )
 
     def test_huge_cell_count_gives_a_short_message(self, tree_file, capsys):
         # the count has thousands of digits: its leading digits and its
@@ -315,6 +337,20 @@ class TestVerify:
         assert len(err) < 200
         assert re.fullmatch(
             r"error: largest cell layer has \d{6}\.\.\. \(\d{4} digits\) cells,"
+            r" above the cap 5000000\n", err
+        ), err
+
+    @pytest.mark.parametrize("n", ["1000000", "100000000"])
+    def test_a_huge_n_is_refused_on_a_lower_bound(self, tree_file, capsys, n):
+        # the exact count of n=10**6 has millions of digits; C(V, 4096) of
+        # the V vertices of the cut is a lower bound already over the cap
+        with deadline(1):
+            code = cli.main(["verify", "--tree", tree_file(HTREE), "--n", n])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"error: largest cell layer has at least \d{6}\.\.\. \(\d{5} digits\) cells,"
             r" above the cap 5000000\n", err
         ), err
 
@@ -359,14 +395,17 @@ class TestVerify:
         assert code == 4
         assert not out.exists()
 
-    @pytest.mark.parametrize("out,refused", [
-        ("tri.json", "tri.json"), ("tri.json/sub", "tri.json"), ("dangling", "dangling"),
-    ], ids=["file", "under-a-file", "dangling-link"])
+    @pytest.mark.parametrize("command,out,refused", [
+        (command, out, refused) for command in ("verify", "present")
+        for out, refused in [("tri.json", "tri.json"), ("tri.json/sub", "tri.json"),
+                             ("dangling", "dangling")]
+    ], ids=[prefix + case for prefix in ("", "present-")
+            for case in ("file", "under-a-file", "dangling-link")])
     def test_out_on_an_existing_file_exits_1_before_the_oracle(
-        self, tree_file, tmp_path, capsys, monkeypatch, out, refused
+        self, tree_file, tmp_path, capsys, monkeypatch, command, out, refused
     ):
         # --out naming a file, a path under one, or a link to nowhere is
-        # refused before the header is printed or any level is checked
+        # refused before anything is printed or written, and before the oracle
         def no_oracle(*args):
             raise AssertionError("the oracle ran")
 
@@ -374,7 +413,7 @@ class TestVerify:
         tree = tree_file(TRIPOD, "tri.json")
         before = Path(tree).read_bytes()
         (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
-        code = cli.main(["verify", "--tree", tree, "--n", "3", "--out", str(tmp_path / out)])
+        code = cli.main([command, "--tree", tree, "--n", "3", "--out", str(tmp_path / out)])
         assert code == 1
         assert capsys.readouterr() == (
             "", f"error: --out {tmp_path / out}: {tmp_path / refused} is not a directory\n"
@@ -1041,6 +1080,17 @@ class TestInputFuzz:
             codes.add(code)
         assert {0, 1} <= codes    # the damage reaches both accepted and rejected input
 
+    @pytest.mark.parametrize("deep", [
+        "[" * 200_000,
+        json.dumps({**HTREE, "extra": []}).replace("[]", "[" * 100_000 + "]" * 100_000),
+    ], ids=["brackets", "extra-field"])
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, deep):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        assert cli.main(["present", "--tree", str(path), "--n", "2"]) == 1
+        assert capsys.readouterr() == ("", "error: invalid JSON: nested too deeply\n")
+
 
 class TestReadme:
     def test_every_readme_command_parses(self):
@@ -1060,10 +1110,12 @@ class TestProcessExitCodes:
         (["present", "--tree", "spider.json", "--n", "2"], 2),
         (["stabilize", "--tree", "h.json", "--n", "99999999999"], 4),
         (["--help"], 0),
-    ], ids=["ok", "input", "not-linear", "resources", "help"])
+        (["present", "--tree", "deep.json", "--n", "2"], 1),
+    ], ids=["ok", "input", "not-linear", "resources", "help", "deep-json"])
     def test_exit_code(self, tmp_path, argv, code):
         (tmp_path / "spider.json").write_text(json.dumps(SPIDER))
         (tmp_path / "h.json").write_text(json.dumps(HTREE))
+        (tmp_path / "deep.json").write_text("[" * 200_000)
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-m", "treebraid.cli", *argv], cwd=tmp_path,
@@ -1071,3 +1123,4 @@ class TestProcessExitCodes:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == code, done.stderr
         assert done.stderr.startswith("error: ") == bool(code), done.stderr
+        assert "Traceback" not in done.stderr

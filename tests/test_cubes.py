@@ -399,6 +399,27 @@ class TestOracleReport:
         assert layer_sizes(htree, 2, 3, parts=20) == [5050, 9900, 4849, 0]
         assert layer_sizes(real(htree, 20), 2, 3) == [5050, 9900, 4849, 0]
 
+    def test_the_lower_bound_never_exceeds_the_exact_count(self, htree, tripod):
+        # past a smaller side of _EXACT_SIDE in C(V, n), the 0-cells of the V
+        # vertices of the cut, the refusal counts C(V, _EXACT_SIDE) instead
+        side = cubes._EXACT_SIDE
+        interval = tree_from_edges([("p", "q")], "p")
+        for tree, n, parts in [(htree, side + 1, side), (tripod, side + 50, side + 49),
+                               (htree, side + 1, 3 * side), (interval, 5000, 9200)]:
+            with pytest.raises(ResourceCapError, match="^largest cell layer has at least "
+                                                       r"\d{6}\.\.\. ") as info:
+                cubes.check_limits(tree, n, 3, parts)
+            assert info.value.cells == comb(len(tree.vertices) + (parts - 1) * len(tree.edges),
+                                            side)
+            assert info.value.cells <= max(layer_sizes(tree, n, 3, parts)), (n, parts)
+        # up to that side the count is exact: n = side on the H-tree, and
+        # V - n = 8896 - 4800 = side on the interval cut into 8895 pieces
+        for tree, n, parts in [(htree, side, None), (interval, 4800, 8895)]:
+            with pytest.raises(ResourceCapError) as info:
+                cubes.check_limits(tree, n, 3, parts)
+            assert info.value.cells == max(layer_sizes(tree, n, 3, parts or n - 1))
+            assert "at least" not in str(info.value)
+
     def test_boundary_is_checked_before_betti(self, tripod, monkeypatch):
         # a wrong row in boundary_2 stops the report: no Betti number is
         # returned, and boundary_1, whose clearing rests on

@@ -8,6 +8,7 @@ from treebraid.trees import (
     NotLinearError,
     ParseError,
     decompose,
+    load_tree,
     make_tree,
     parse_tree,
     subdivide_edges,
@@ -91,6 +92,16 @@ class TestParse:
     def test_only_comments_and_blanks_rejected(self):
         with pytest.raises(ParseError, match="empty input: first line must be 'endpoint <id>'"):
             parse_tree("# nothing here\n\n   \n# endpoint p\n")
+
+    @pytest.mark.parametrize("text", [
+        '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]], "endpoint": "a"}',
+        "endpoint a\na b\nb c\n",
+    ], ids=["json", "text"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert load_tree(marked) == load_tree(plain) == parse_tree(text)
 
     def test_integer_ids_coerced(self):
         t = parse_tree('{"vertices": [1, 2], "edges": [[1, 2]], "endpoint": 1}')
